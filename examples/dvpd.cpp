@@ -27,7 +27,8 @@
  *                           (0 = ephemeral; omit to disable)
  *     --http-port-file FILE write the bound HTTP port to FILE
  *     --slow-ms N           slow-query threshold in ms (with
- *                           --slow-query-log)
+ *                           --slow-query-log; default 0 logs every
+ *                           statement)
  *     --slow-query-log FILE append one NDJSON record per slow query
  *     --audit               dump the adaptive-decision audit ring at
  *                           exit

@@ -376,17 +376,17 @@ class Shell
                 std::string attrs;
                 int shown = 0;
                 for (size_t c = 0;
-                     c < rs.rows[r].size() && shown < 6; ++c) {
-                    if (storage::isNull(rs.rows[r][c]))
+                     c < rs.width() && shown < 6; ++c) {
+                    if (storage::isNull(rs.row(r)[c]))
                         continue;
                     attrs += data.catalog.name(
                                  static_cast<storage::AttrId>(c)) +
-                             "=" + cell(rs.rows[r][c]) + " ";
+                             "=" + cell(rs.row(r)[c]) + " ";
                     ++shown;
                 }
                 row.push_back(attrs + "...");
             } else {
-                for (storage::Slot s : rs.rows[r])
+                for (storage::Slot s : rs.row(r))
                     row.push_back(cell(s));
             }
             out.addRow(std::move(row));

@@ -88,7 +88,7 @@ main(int argc, char **argv)
     engine::ResultSet rs = exec.run(by_city);
     std::printf("\nusers in london:\n");
     for (size_t r = 0; r < rs.rowCount(); ++r) {
-        const auto &row = rs.rows[r];
+        auto row = rs.row(r);
         std::printf("  %-8s age %lld\n",
                     data.dict.text(storage::decodeString(row[0])).c_str(),
                     static_cast<long long>(row[1]));
@@ -97,7 +97,7 @@ main(int argc, char **argv)
     rs = exec.run(karma);
     std::printf("\nkarma board:\n");
     for (size_t r = 0; r < rs.rowCount(); ++r) {
-        const auto &row = rs.rows[r];
+        auto row = rs.row(r);
         std::printf("  %-8s %s\n",
                     data.dict.text(storage::decodeString(row[0])).c_str(),
                     storage::isNull(row[1])

@@ -169,11 +169,11 @@ main(int argc, char **argv)
     engine::Executor exec(dvp_db);
     engine::ResultSet rs = exec.run(campaigns);
     std::printf("\n%zu campaign events with bid >= 50; first few:\n",
-                rs.rows.size());
+                static_cast<size_t>(rs.rowCount()));
     for (size_t r = 0; r < rs.rowCount() && r < 3; ++r)
         std::printf("  campaign %lld bid %lld likes %lld\n",
-                    static_cast<long long>(rs.rows[r][0]),
-                    static_cast<long long>(rs.rows[r][1]),
-                    static_cast<long long>(rs.rows[r][2]));
+                    static_cast<long long>(rs.row(r)[0]),
+                    static_cast<long long>(rs.row(r)[1]),
+                    static_cast<long long>(rs.row(r)[2]));
     return 0;
 }

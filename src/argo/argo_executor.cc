@@ -132,7 +132,7 @@ class Exec
      */
     void
     retrieveBackwardForward(const ArgoTable &t, int64_t oid, size_t pos,
-                            std::vector<Slot> *row, ResultSet &rs)
+                            std::span<Slot> row, ResultSet &rs)
     {
         size_t start = pos;
         while (start > 0 && readHead(t, start - 1).first == oid)
@@ -144,20 +144,20 @@ class Exec
             Slot v = readValue(t, r);
             if (isNull(v))
                 continue;
-            if (row && key < row->size())
-                (*row)[key] = v;
+            if (key < row.size())
+                row[key] = v;
             rs.checksum ^= engine::resultCellDigest(key, v);
         }
     }
 
     /**
      * Read every record of object @p oid in table @p t into @p row
-     * (indexed by AttrId) when @p row is non-null, always folding
-     * values into the checksum.
+     * (indexed by AttrId; attributes past its end are not stored),
+     * always folding values into the checksum.
      */
     void
-    retrieveObject(const ArgoTable &t, int64_t oid,
-                   std::vector<Slot> *row, ResultSet &rs)
+    retrieveObject(const ArgoTable &t, int64_t oid, std::span<Slot> row,
+                   ResultSet &rs)
     {
         size_t r = t.lowerBound(oid);
         for (; r < t.rows(); ++r) {
@@ -167,8 +167,8 @@ class Exec
             Slot v = readValue(t, r);
             if (isNull(v))
                 continue;
-            if (row && key < row->size())
-                (*row)[key] = v;
+            if (key < row.size())
+                row[key] = v;
             rs.checksum ^= engine::resultCellDigest(key, v);
         }
     }
@@ -202,14 +202,15 @@ class Exec
             }
         }
 
-        ResultSet rs;
+        ResultSet rs(attrs.size());
+        rs.reserveRows(partial.size());
         for (auto &[oid, row] : partial) {
             for (size_t i = 0; i < row.size(); ++i)
                 if (!isNull(row[i]))
                     rs.checksum ^=
                         engine::resultCellDigest(attrs[i], row[i]);
             rs.oids.push_back(oid);
-            rs.rows.push_back(std::move(row));
+            rs.addRow(row);
         }
         return rs;
     }
@@ -282,27 +283,40 @@ class Exec
     retrieve(const Query &q, const std::vector<Match> &matches)
     {
         const auto &catalog = store.data().catalog;
-        ResultSet rs;
+        // An aggregate's SELECT * (groupBy set) keeps only the grouping
+        // cell; every record is still read and checksummed.
+        const bool group_only =
+            q.selectAll && q.groupBy != storage::kNoAttr;
+        ResultSet rs(group_only     ? 1
+                     : q.selectAll ? catalog.attrCount()
+                                   : q.projected.size());
         // Reserves cost no traced accesses, so the simulated counters
         // are unchanged.
         rs.oids.reserve(matches.size());
-        rs.rows.reserve(matches.size());
+        rs.reserveRows(matches.size());
 
         if (q.selectAll) {
+            std::vector<Slot> full(group_only ? catalog.attrCount() : 0);
             for (const Match &m : matches) {
-                std::vector<Slot> row(catalog.attrCount(), kNullSlot);
+                std::span<Slot> row(rs.addRows(1), rs.width());
+                std::span<Slot> into = row;
+                if (group_only) {
+                    std::fill(full.begin(), full.end(), kNullSlot);
+                    into = full;
+                }
                 for (const ArgoTable *t : allTables()) {
                     if (t == m.table) {
                         // Paper retrieval: backward to the object's
                         // first record, then forward through it.
-                        retrieveBackwardForward(*t, m.oid, m.pos, &row,
+                        retrieveBackwardForward(*t, m.oid, m.pos, into,
                                                 rs);
                     } else {
-                        retrieveObject(*t, m.oid, &row, rs);
+                        retrieveObject(*t, m.oid, into, rs);
                     }
                 }
+                if (group_only && q.groupBy < full.size())
+                    row[0] = full[q.groupBy];
                 rs.oids.push_back(m.oid);
-                rs.rows.push_back(std::move(row));
             }
             return rs;
         }
@@ -319,12 +333,12 @@ class Exec
             ResultSet scratch; // checksum only over projected cells
             for (const ArgoTable *t : allTables()) {
                 if (t == m.table)
-                    retrieveBackwardForward(*t, m.oid, m.pos, &full,
+                    retrieveBackwardForward(*t, m.oid, m.pos, full,
                                             scratch);
                 else
-                    retrieveObject(*t, m.oid, &full, scratch);
+                    retrieveObject(*t, m.oid, full, scratch);
             }
-            std::vector<Slot> row(q.projected.size(), kNullSlot);
+            Slot *row = rs.addRows(1);
             for (const auto &[attr, out] : out_col) {
                 if (attr < full.size() && !isNull(full[attr])) {
                     row[out] = full[attr];
@@ -333,7 +347,6 @@ class Exec
                 }
             }
             rs.oids.push_back(m.oid);
-            rs.rows.push_back(std::move(row));
         }
         return rs;
     }
@@ -367,7 +380,7 @@ class Exec
             }
         }
 
-        ResultSet rs;
+        ResultSet rs(2);
         if (build.empty())
             return rs;
 
@@ -394,8 +407,8 @@ class Exec
         for (auto [loid, roid] : pairs) {
             for (int64_t oid : {loid, roid})
                 for (const ArgoTable *t : allTables())
-                    retrieveObject(*t, oid, nullptr, rs);
-            rs.rows.push_back({loid, roid});
+                    retrieveObject(*t, oid, {}, rs);
+            rs.addRow({loid, roid});
         }
         return rs;
     }

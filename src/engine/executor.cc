@@ -137,12 +137,15 @@ class Exec
     }
 
     /**
-     * Retrieve all matches, morselized over the match list.  With a
-     * delta snapshot attached the (sorted) match list splits at the
-     * delta's first oid: the base prefix runs the partition cursors
-     * (possibly in parallel), the tail materializes serially from the
-     * row-major delta documents and appends — the same order a fold
-     * would have produced.
+     * Retrieve all matches, morselized over the match list.  Every
+     * match yields exactly one row, so the result buffer is sized up
+     * front and each morsel fills its own rows in place: one
+     * allocation, no lane-local copies to concatenate.  With a delta
+     * snapshot attached the (sorted) match list splits at the delta's
+     * first oid: the base prefix runs the partition cursors (possibly
+     * in parallel), the tail materializes serially from the row-major
+     * delta documents and appends — the same order a fold would have
+     * produced.
      */
     ResultSet
     retrieve(const Query &, const std::vector<int64_t> &matches)
@@ -155,17 +158,23 @@ class Exec
                 std::lower_bound(matches.begin(), matches.end(),
                                  delta->firstOid()) -
                 matches.begin());
-        ResultSet rs;
+        ResultSet rs(retrieveWidth());
+        rs.reserveRows(matches.size());
+        rs.oids.assign(matches.begin(), matches.begin() + nbase);
+        Slot *out = rs.addRows(nbase);
+        const size_t width = rs.width();
         if (parallel() && nbase > morsel_rows) {
             size_t nm = (nbase + morsel_rows - 1) / morsel_rows;
-            rs = concat(scatter<ResultSet>(
-                nm, [&](Exec &lane, size_t i) {
-                    size_t m0 = i * lane.morsel_rows;
-                    size_t n = std::min(lane.morsel_rows, nbase - m0);
-                    return lane.retrieveRange(matches.data() + m0, n);
-                }));
+            for (uint64_t sum : scatter<uint64_t>(
+                     nm, [&](Exec &lane, size_t i) {
+                         size_t m0 = i * lane.morsel_rows;
+                         size_t n = std::min(lane.morsel_rows, nbase - m0);
+                         return lane.retrieveRange(matches.data() + m0, n,
+                                                   out + m0 * width);
+                     }))
+                rs.checksum ^= sum;
         } else {
-            rs = retrieveRange(matches.data(), nbase);
+            rs.checksum = retrieveRange(matches.data(), nbase, out);
         }
         retrieveDelta(matches.data() + nbase, matches.size() - nbase,
                       rs);
@@ -179,13 +188,13 @@ class Exec
     {
         const MergeScanProjectOp &op = plan.project;
         if (op.tables.empty())
-            return ResultSet{};
+            return ResultSet(op.attrs.size());
         std::vector<const Table *> tables = resolve(op.tables);
         if (parallel()) {
             std::vector<int64_t> bounds =
                 oidBoundaries(tablePtr(op.driving));
             if (bounds.size() > 2)
-                return concat(scatter<ResultSet>(
+                return concat(op.attrs.size(), scatter<ResultSet>(
                     bounds.size() - 1, [&](Exec &lane, size_t i) {
                         return lane.projectRange(op, tables, bounds[i],
                                                  bounds[i + 1]);
@@ -225,7 +234,7 @@ class Exec
             }
             if (any) {
                 rs.oids.push_back(doc.oid);
-                rs.rows.push_back(row);
+                rs.addRow(row);
             }
         }
     }
@@ -394,7 +403,7 @@ class Exec
                 build.emplace(key, left[i]);
         }
 
-        ResultSet rs;
+        ResultSet rs(2);
         if (build.empty())
             return rs;
 
@@ -468,7 +477,7 @@ class Exec
                                 cellDigest(schema[c], rec[1 + c]);
                 }
             }
-            rs.rows.push_back({loid, roid});
+            rs.addRow({loid, roid});
         }
         return rs;
     }
@@ -871,24 +880,48 @@ class Exec
         return bounds;
     }
 
-    /** Concatenate ordered partial results; XOR-merge checksums. */
+    /**
+     * Concatenate ordered lane-local partial results (rows @p width
+     * wide) into one flat buffer; XOR-merge checksums.
+     */
     static ResultSet
-    concat(std::vector<ResultSet> parts)
+    concat(size_t width, const std::vector<ResultSet> &parts)
     {
         DVP_TRACE_SPAN(merge_span, "merge", "concat partials");
-        ResultSet rs;
+        ResultSet rs(width);
         size_t total = 0;
         for (const ResultSet &p : parts)
-            total += p.rows.size();
+            total += p.rowCount();
         rs.oids.reserve(total);
-        rs.rows.reserve(total);
-        for (ResultSet &p : parts) {
-            rs.checksum ^= p.checksum;
-            rs.oids.insert(rs.oids.end(), p.oids.begin(), p.oids.end());
-            std::move(p.rows.begin(), p.rows.end(),
-                      std::back_inserter(rs.rows));
-        }
+        rs.reserveRows(total);
+        for (const ResultSet &p : parts)
+            rs.append(p);
         return rs;
+    }
+
+    /** Row width of Select retrieval (base and delta alike). */
+    size_t
+    retrieveWidth() const
+    {
+        if (!plan.retrieve.selectAll)
+            return plan.retrieve.outWidth;
+        return plan.retrieve.groupOnly == storage::kNoAttr
+                   ? plan.catalogWidth
+                   : 1;
+    }
+
+    /**
+     * Cell of attribute @p a in a SELECT * row @p width wide, or
+     * SIZE_MAX when the row does not keep it (past the bind-time
+     * width, or not the grouping cell of an aggregate's selection).
+     */
+    size_t
+    selectAllColumn(AttrId a, size_t width) const
+    {
+        AttrId keep = plan.retrieve.groupOnly;
+        if (keep != storage::kNoAttr)
+            return a == keep ? 0 : SIZE_MAX;
+        return a < width ? a : SIZE_MAX;
     }
 
     /**
@@ -1039,10 +1072,10 @@ class Exec
                  const std::vector<const Table *> &tables, int64_t lo,
                  int64_t hi)
     {
-        ResultSet rs;
+        ResultSet rs(op.attrs.size());
         size_t est = spanEstimate(tables, lo, hi);
         rs.oids.reserve(est);
-        rs.rows.reserve(est);
+        rs.reserveRows(est);
         std::vector<Slot> row(op.attrs.size(), kNullSlot);
         mergeScan(tables, lo, hi,
                   [&](int64_t oid,
@@ -1065,7 +1098,7 @@ class Exec
             }
             if (any) {
                 rs.oids.push_back(oid);
-                rs.rows.push_back(row);
+                rs.addRow(row);
             }
         });
         return rs;
@@ -1210,29 +1243,28 @@ class Exec
     }
 
     /**
-     * Retrieve rows for @p count already-matched oids at @p matches.
-     * Matches must be in increasing oid order; per-table cursors then
-     * seek forward only.
+     * Retrieve rows for @p count already-matched oids at @p matches
+     * into the all-NULL rows at @p out (retrieveWidth() cells each);
+     * returns the checksum of the cells read.  Matches must be in
+     * increasing oid order; per-table cursors then seek forward only.
      */
-    ResultSet
-    retrieveRange(const int64_t *matches, size_t count)
+    uint64_t
+    retrieveRange(const int64_t *matches, size_t count, Slot *out)
     {
         const IndexRetrieveOp &op = plan.retrieve;
-        ResultSet rs;
-        rs.oids.reserve(count);
-        rs.rows.reserve(count);
+        const size_t width = retrieveWidth();
+        uint64_t checksum = 0;
 
         if (op.selectAll) {
             // Probes every partition; the row width is the bind-time
             // catalog width (part of the plan, so lanes never race a
-            // concurrent ingest growing the live catalog).  Cells of
-            // attributes past the width still feed the checksum, so
-            // digests are width-independent.
-            size_t width = plan.catalogWidth;
+            // concurrent ingest growing the live catalog), or 1 for
+            // an aggregate's selection.  Cells the row does not keep
+            // still feed the checksum, so digests are width-independent.
             std::vector<Cursor> cursor(db.tableCount());
             for (size_t m = 0; m < count; ++m) {
                 int64_t oid = matches[m];
-                std::vector<Slot> row(width, kNullSlot);
+                Slot *row = out + m * width;
                 for (size_t ti = 0; ti < db.tableCount(); ++ti) {
                     const Table &t = db.table(ti);
                     if (probe(t, cursor[ti], oid) == storage::kNoRow)
@@ -1241,16 +1273,15 @@ class Exec
                     const auto &schema = t.schema();
                     for (size_t ccol = 0; ccol < schema.size(); ++ccol) {
                         Slot s = rec[1 + ccol];
-                        if (schema[ccol] < width)
-                            row[schema[ccol]] = s;
+                        size_t out_col = selectAllColumn(schema[ccol], width);
+                        if (out_col != SIZE_MAX)
+                            row[out_col] = s;
                         if (!isNull(s))
-                            rs.checksum ^= cellDigest(schema[ccol], s);
+                            checksum ^= cellDigest(schema[ccol], s);
                     }
                 }
-                rs.oids.push_back(oid);
-                rs.rows.push_back(std::move(row));
             }
-            return rs;
+            return checksum;
         }
 
         // Explicit projection list: the bound groups, one cursor each.
@@ -1267,7 +1298,7 @@ class Exec
 
         for (size_t m = 0; m < count; ++m) {
             int64_t oid = matches[m];
-            std::vector<Slot> row(op.outWidth, kNullSlot);
+            Slot *row = out + m * width;
             for (auto &g : groups) {
                 if (probe(*g.table, g.cursor, oid) == storage::kNoRow)
                     continue;
@@ -1276,13 +1307,11 @@ class Exec
                                       static_cast<size_t>(pc.col));
                     row[pc.out] = s;
                     if (!isNull(s))
-                        rs.checksum ^= cellDigest(pc.attr, s);
+                        checksum ^= cellDigest(pc.attr, s);
                 }
             }
-            rs.oids.push_back(oid);
-            rs.rows.push_back(std::move(row));
         }
-        return rs;
+        return checksum;
     }
 
     /**
@@ -1305,27 +1334,24 @@ class Exec
             const storage::Document &doc = delta->doc(i);
             countTouch();
             countDelta();
+            Slot *row = rs.addRows(1);
+            rs.oids.push_back(doc.oid);
             if (op.selectAll) {
-                std::vector<Slot> row(plan.catalogWidth, kNullSlot);
                 for (const auto &[a, s] : doc.attrs) {
-                    if (a < plan.catalogWidth)
-                        row[a] = s;
+                    size_t out_col = selectAllColumn(a, rs.width());
+                    if (out_col != SIZE_MAX)
+                        row[out_col] = s;
                     if (!isNull(s))
                         rs.checksum ^= cellDigest(a, s);
                 }
-                rs.oids.push_back(doc.oid);
-                rs.rows.push_back(std::move(row));
                 continue;
             }
-            std::vector<Slot> row(op.outWidth, kNullSlot);
             for (size_t j = 0; j < op.attrs.size(); ++j) {
                 Slot s = doc.slotOf(op.attrs[j]);
                 row[j] = s;
                 if (!isNull(s))
                     rs.checksum ^= cellDigest(op.attrs[j], s);
             }
-            rs.oids.push_back(doc.oid);
-            rs.rows.push_back(std::move(row));
         }
     }
 };

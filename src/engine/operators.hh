@@ -39,7 +39,10 @@ namespace dvp::engine::ops
  * The Select sub-query an Aggregate executes first (paper Q10, §VI-B:
  * "the engine first executes the selection part of the query, and then
  * it does the aggregation over the retrieved result").  A COUNT(*)
- * retrieves at least the grouping column.
+ * retrieves at least the grouping column.  The sub-query keeps the
+ * aggregate's groupBy, which is how a backend tells an aggregate's
+ * SELECT * retrieval from a plain one: it reads every cell of each
+ * match but keeps only the grouping cell in the row.
  */
 inline Query
 aggregateSubQuery(const Query &q)
@@ -58,7 +61,7 @@ inline size_t
 aggregateGroupColumn(const Query &sub)
 {
     if (sub.selectAll)
-        return sub.groupBy; // rows are dense in AttrId order
+        return 0; // rows hold only the grouping cell
     for (size_t i = 0; i < sub.projected.size(); ++i)
         if (sub.projected[i] == sub.groupBy)
             return i;
@@ -83,21 +86,21 @@ aggregate(Backend &b, const Query &q)
     ResultSet selected = select(b, sub);
 
     DVP_TRACE_SPAN(fold_span, "merge", "aggregate fold");
-    ResultSet rs;
+    ResultSet rs(2);
     rs.checksum = selected.checksum;
     size_t group_col = aggregateGroupColumn(sub);
     std::unordered_map<storage::Slot, uint64_t> counts;
-    for (const auto &row : selected.rows) {
+    for (size_t r = 0; r < selected.rowCount(); ++r) {
         // A grouping column the layout never materialized reads as
         // NULL here, folding every row into the NULL group.
         storage::Slot key = storage::kNullSlot;
-        if (group_col < row.size())
-            key = row[group_col];
+        if (group_col < selected.width())
+            key = selected.row(r)[group_col];
         ++counts[key];
     }
-    rs.rows.reserve(counts.size());
+    rs.reserveRows(counts.size());
     for (const auto &[key, count] : counts)
-        rs.rows.push_back({key, static_cast<storage::Slot>(count)});
+        rs.addRow({key, static_cast<storage::Slot>(count)});
     return rs;
 }
 

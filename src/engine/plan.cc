@@ -126,8 +126,12 @@ void
 bindRetrieve(const Database &db, const Query &q, IndexRetrieveOp &op)
 {
     op.selectAll = q.selectAll;
-    if (q.selectAll)
-        return; // probes every partition; widths come from the live db
+    if (q.selectAll) {
+        // Probes every partition; widths come from the live db.  An
+        // aggregate's selection (groupBy set) keeps the grouping cell.
+        op.groupOnly = q.groupBy;
+        return;
+    }
 
     op.outWidth = q.projected.size();
     std::vector<int> tbl_index(db.tableCount(), -1);
@@ -349,7 +353,9 @@ PhysicalPlan::describe(const Database &db) const
             std::snprintf(line, sizeof(line),
                           "  IndexRetrieve[*] width=%zu partitions=%zu"
                           "\n",
-                          db.data().catalog.attrCount(),
+                          retrieve.groupOnly == storage::kNoAttr
+                              ? db.data().catalog.attrCount()
+                              : size_t{1},
                           db.tableCount());
         } else {
             std::string groups;

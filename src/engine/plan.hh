@@ -80,6 +80,13 @@ struct IndexRetrieveOp
     bool selectAll = true;
     size_t outWidth = 0; ///< explicit mode: output row width
 
+    /**
+     * SELECT * of an aggregate's selection: every cell is still read
+     * (and checksummed), but rows keep only this attribute's cell —
+     * the one the fold uses.  kNoAttr for a plain SELECT *.
+     */
+    storage::AttrId groupOnly = storage::kNoAttr;
+
     struct Col
     {
         size_t out;           ///< output row index

@@ -1,7 +1,7 @@
 #include "engine/query.hh"
 
 #include <algorithm>
-#include <set>
+#include <ranges>
 
 #include "util/logging.hh"
 
@@ -61,39 +61,83 @@ resultCellDigest(AttrId attr, Slot s)
 namespace
 {
 
-/** Canonical copy: rows sorted lexicographically. */
-std::vector<std::vector<Slot>>
+/** murmur3's 64-bit finalizer: a strong bijective mix. */
+uint64_t
+mix64(uint64_t v)
+{
+    v ^= v >> 33;
+    v *= 0xff51afd7ed558ccdULL;
+    v ^= v >> 33;
+    v *= 0xc4ceb9fe1a85ec53ULL;
+    v ^= v >> 33;
+    return v;
+}
+
+/** Rows sorted lexicographically (views into @p rs). */
+std::vector<std::span<const Slot>>
 canonical(const ResultSet &rs)
 {
-    std::vector<std::vector<Slot>> rows = rs.rows;
-    std::sort(rows.begin(), rows.end());
+    std::vector<std::span<const Slot>> rows;
+    rows.reserve(rs.rowCount());
+    for (size_t i = 0; i < rs.rowCount(); ++i)
+        rows.push_back(rs.row(i));
+    std::sort(rows.begin(), rows.end(), [](auto a, auto b) {
+        return std::lexicographical_compare(a.begin(), a.end(),
+                                            b.begin(), b.end());
+    });
     return rows;
 }
 
 } // namespace
 
+void
+ResultSet::addRow(std::span<const Slot> cells)
+{
+    invariant(cells.size() == width_, "row width mismatch");
+    slots_.insert(slots_.end(), cells.begin(), cells.end());
+    ++rows_;
+}
+
+void
+ResultSet::append(const ResultSet &other)
+{
+    invariant(other.rows_ == 0 || other.width_ == width_,
+              "appending rows of a different width");
+    checksum ^= other.checksum;
+    oids.insert(oids.end(), other.oids.begin(), other.oids.end());
+    slots_.insert(slots_.end(), other.slots_.begin(), other.slots_.end());
+    rows_ += other.rows_;
+}
+
 bool
 ResultSet::equals(const ResultSet &other) const
 {
-    return canonical(*this) == canonical(other);
+    if (rows_ != other.rows_)
+        return false;
+    if (rows_ == 0)
+        return true;
+    if (width_ != other.width_)
+        return false;
+    return std::ranges::equal(canonical(*this), canonical(other),
+                              [](auto a, auto b) {
+                                  return std::ranges::equal(a, b);
+                              });
 }
 
 uint64_t
 ResultSet::digest() const
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (const auto &row : canonical(*this)) {
-        mix(0x9e3779b97f4a7c15ULL); // row separator
-        for (Slot s : row)
-            mix(static_cast<uint64_t>(s));
+    uint64_t sum = 0;
+    const Slot *cell = slots_.data();
+    for (size_t r = 0; r < rows_; ++r) {
+        // Chained, so the hash depends on cell order within the row.
+        uint64_t h = 0x9e3779b97f4a7c15ULL;
+        for (size_t c = 0; c < width_; ++c, ++cell)
+            h = mix64(h ^ static_cast<uint64_t>(*cell)) +
+                0x2545f4914f6cdd1dULL;
+        sum += mix64(h);
     }
-    return h;
+    return mix64(sum ^ mix64(rows_ + 0x632be59bd9b4e019ULL));
 }
 
 } // namespace dvp::engine

@@ -14,6 +14,8 @@
 #ifndef DVP_ENGINE_QUERY_HH
 #define DVP_ENGINE_QUERY_HH
 
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,15 +128,19 @@ struct Query
  * Result set of a query execution, independent of layout so results can
  * be compared across engines.
  *
- * For Project/Select: one row per selected object, cells in the query's
- * projection order (selectAll: catalog AttrId order).  For Aggregate:
- * one row per group [group key, count].  For Join: rows of concatenated
- * [left oid, right oid].  For Insert: empty.
+ * Rows live in one flat, row-major slot buffer: row i is the width()
+ * cells starting at slot i * width(), so a whole result is one
+ * allocation however many rows it has.  For Project/Select: one row per
+ * selected object, cells in the query's projection order (selectAll:
+ * catalog AttrId order).  For Aggregate: one row per group [group key,
+ * count].  For Join: rows of [left oid, right oid].  For Insert: empty.
  */
 struct ResultSet
 {
+    /** Empty result whose rows will hold @p width cells each. */
+    explicit ResultSet(size_t width = 0) : width_(width) {}
+
     std::vector<int64_t> oids;       ///< selected oid per row (scans)
-    std::vector<std::vector<Slot>> rows;
 
     /**
      * Order-independent XOR/multiply digest of every non-null cell the
@@ -145,13 +151,63 @@ struct ResultSet
      */
     uint64_t checksum = 0;
 
-    uint64_t rowCount() const { return rows.size(); }
+    uint64_t rowCount() const { return rows_; }
+
+    /** Cells per row. */
+    size_t width() const { return width_; }
+
+    /** Every cell, row-major (rowCount() * width() slots). */
+    const std::vector<Slot> &cells() const { return slots_; }
+
+    std::span<const Slot>
+    row(size_t i) const
+    {
+        return {slots_.data() + i * width_, width_};
+    }
+
+    /** Append @p n all-NULL rows; returns their cells for filling in. */
+    Slot *
+    addRows(size_t n)
+    {
+        slots_.resize(slots_.size() + n * width_, storage::kNullSlot);
+        rows_ += n;
+        return slots_.data() + slots_.size() - n * width_;
+    }
+
+    /** Append a copy of @p cells. @pre cells.size() == width() */
+    void addRow(std::span<const Slot> cells);
+
+    void
+    addRow(std::initializer_list<Slot> cells)
+    {
+        addRow(std::span<const Slot>(cells.begin(), cells.size()));
+    }
+
+    void reserveRows(size_t n) { slots_.reserve(n * width_); }
+
+    /**
+     * Append @p other's rows and oids and fold in its checksum: the
+     * merge of ordered partial results.  @pre same width (or @p other
+     * has no rows).
+     */
+    void append(const ResultSet &other);
 
     /** Canonical ordering + equality for cross-layout comparison. */
     bool equals(const ResultSet &other) const;
 
-    /** 64-bit FNV digest of the canonicalized result (for tests). */
+    /**
+     * Order-independent multiset digest of the rows (oids excluded):
+     * each row hashes its cells in order, the row hashes add mod 2^64
+     * (so duplicate rows count), and the row count is mixed in.  One
+     * pass, no copy and no sort: equal for the same logical result in
+     * any row order.
+     */
     uint64_t digest() const;
+
+  private:
+    size_t width_;
+    size_t rows_ = 0;
+    std::vector<Slot> slots_; ///< row-major, width_ cells per row
 };
 
 /**

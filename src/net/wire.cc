@@ -38,16 +38,27 @@ crc32(const void *data, size_t n)
 }
 
 std::string
+Writer::finishFrame(FrameType type)
+{
+    size_t len = payloadSize();
+    Writer h;
+    h.u16(kMagic);
+    h.u8(kWireVersion);
+    h.u8(static_cast<uint8_t>(type));
+    h.u32(static_cast<uint32_t>(len));
+    h.u32(crc32(buf.data() + head, len));
+    h.u32(0); // reserved
+    buf.replace(0, head, h.bytes());
+    head = 0;
+    return std::move(buf);
+}
+
+std::string
 encodeFrame(FrameType type, const std::string &payload)
 {
-    Writer w;
-    w.u16(kMagic);
-    w.u8(kWireVersion);
-    w.u8(static_cast<uint8_t>(type));
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.u32(crc32(payload.data(), payload.size()));
-    w.u32(0); // reserved
-    return w.bytes() + payload;
+    Writer w = Writer::forFrame(payload.size());
+    w.raw(payload.data(), payload.size());
+    return w.finishFrame(type);
 }
 
 void
@@ -241,29 +252,52 @@ decodeError(const std::string &payload, ErrorBody &out)
     return r.exhausted();
 }
 
-std::string
-encodeResult(const ResultBody &b, uint32_t level)
+void
+putCell(Writer &w, Cell::Kind kind, int64_t i, std::string_view s)
 {
-    Writer w;
+    w.u8(static_cast<uint8_t>(kind));
+    if (kind == Cell::Kind::Int)
+        w.i64(i);
+    else if (kind == Cell::Kind::Str)
+        w.str(s);
+}
+
+void
+putResultHead(Writer &w, const ResultBody &b, uint32_t nrows)
+{
     w.u8(static_cast<uint8_t>(b.kind));
     w.str(b.message);
     w.u32(static_cast<uint32_t>(b.columns.size()));
     for (const auto &c : b.columns)
         w.str(c);
     w.u32(static_cast<uint32_t>(b.oids.size()));
-    for (int64_t oid : b.oids)
-        w.i64(oid);
-    w.u32(static_cast<uint32_t>(b.rows.size()));
+    w.raw(b.oids.data(), b.oids.size() * sizeof(int64_t));
+    w.u32(nrows);
+}
+
+void
+putRowHead(Writer &w, uint32_t ncells)
+{
+    w.u32(ncells);
+}
+
+std::string
+encodeResult(const ResultBody &b, uint32_t level)
+{
+    Writer w;
+    putResultHead(w, b, static_cast<uint32_t>(b.rows.size()));
     for (const auto &row : b.rows) {
-        w.u32(static_cast<uint32_t>(row.size()));
-        for (const Cell &c : row) {
-            w.u8(static_cast<uint8_t>(c.kind));
-            if (c.kind == Cell::Kind::Int)
-                w.i64(c.i);
-            else if (c.kind == Cell::Kind::Str)
-                w.str(c.s);
-        }
+        putRowHead(w, static_cast<uint32_t>(row.size()));
+        for (const Cell &c : row)
+            putCell(w, c.kind, c.i, c.s);
     }
+    putResultTail(w, b, level);
+    return w.bytes();
+}
+
+void
+putResultTail(Writer &w, const ResultBody &b, uint32_t level)
+{
     w.u64(b.digest);
     w.u64(b.checksum);
     w.u64(b.execNs);
@@ -283,7 +317,6 @@ encodeResult(const ResultBody &b, uint32_t level)
             putTlv(w, kExtOpStats, v.bytes());
         }
     }
-    return w.bytes();
 }
 
 bool
@@ -415,6 +448,7 @@ errorCodeName(ErrorCode c)
       case ErrorCode::Protocol: return "PROTOCOL_ERROR";
       case ErrorCode::Unsupported: return "UNSUPPORTED";
       case ErrorCode::ReadOnly: return "READ_ONLY";
+      case ErrorCode::ResultTooLarge: return "RESULT_TOO_LARGE";
     }
     return "?";
 }

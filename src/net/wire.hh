@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dvp::net
@@ -99,15 +100,32 @@ enum class ErrorCode : uint16_t
     Protocol = 5,     ///< malformed frame or out-of-order exchange
     Unsupported = 6,  ///< statement kind the server refuses (e.g. LOAD)
     ReadOnly = 7,     ///< writes (INSERT) disabled on this server
+    ResultTooLarge = 8, ///< RESULT payload would exceed kMaxPayload
 };
 
 /** CRC-32 (IEEE 802.3 polynomial, reflected) of @p n bytes. */
 uint32_t crc32(const void *data, size_t n);
 
-/** Append-only payload encoder (little-endian). */
+/**
+ * Append-only payload encoder (little-endian).  A writer made with
+ * forFrame() reserves the frame header in front of the payload and
+ * finishFrame() fills it in, so a frame is built in one buffer with no
+ * header + payload copy.
+ */
 class Writer
 {
   public:
+    /** A frame writer; @p payloadHint bytes are reserved up front. */
+    static Writer
+    forFrame(size_t payloadHint = 0)
+    {
+        Writer w;
+        w.head = kHeaderBytes;
+        w.buf.reserve(kHeaderBytes + payloadHint);
+        w.buf.resize(kHeaderBytes);
+        return w;
+    }
+
     void
     u8(uint8_t v)
     {
@@ -121,15 +139,12 @@ class Writer
 
     /** u32 byte length + raw bytes. */
     void
-    str(const std::string &s)
+    str(std::string_view s)
     {
         u32(static_cast<uint32_t>(s.size()));
         buf.append(s);
     }
 
-    const std::string &bytes() const { return buf; }
-
-  private:
     void
     raw(const void *p, size_t n)
     {
@@ -137,7 +152,21 @@ class Writer
         buf.append(static_cast<const char *>(p), n);
     }
 
+    /** Payload bytes written so far (a reserved header excluded). */
+    size_t payloadSize() const { return buf.size() - head; }
+
+    const std::string &bytes() const { return buf; }
+
+    /**
+     * Fill in the reserved header of a forFrame() writer — the CRC is
+     * computed over the payload where it sits — and hand the complete
+     * frame over.  The writer is left empty.
+     */
+    std::string finishFrame(FrameType type);
+
+  private:
     std::string buf;
+    size_t head = 0; ///< reserved header bytes at the front of buf
 };
 
 /**
@@ -318,6 +347,15 @@ struct Cell
 };
 
 /**
+ * Append one result cell: the single definition of its bytes.  A u8
+ * Cell::Kind, then an i64 for Int or a u32-length-prefixed string for
+ * Str; Null carries no value bytes.  @p i / @p s are read only for the
+ * kind that carries them.
+ */
+void putCell(Writer &w, Cell::Kind kind, int64_t i = 0,
+             std::string_view s = {});
+
+/**
  * RESULT: either a row set (kind Rows) or a plain message (kind
  * Message — EXPLAIN text, LOAD summaries).  digest/checksum mirror
  * engine::ResultSet so clients can compare executions byte-for-byte
@@ -371,6 +409,18 @@ bool decodeError(const std::string &payload, ErrorBody &out);
 std::string encodeResult(const ResultBody &b,
                          uint32_t level = kFeatureBase);
 bool decodeResult(const std::string &payload, ResultBody &out);
+
+/**
+ * The RESULT body in pieces, for encoders whose rows are not Cells
+ * (the server writes its slots straight into a frame).  A body is
+ * putResultHead (kind, message, columns, oids, @p nrows), then per row
+ * putRowHead + one putCell per cell, then putResultTail (digest,
+ * checksum, execNs, and the TLV block at level >= kFeatureTrace).
+ * encodeResult is exactly this sequence over b.rows.
+ */
+void putResultHead(Writer &w, const ResultBody &b, uint32_t nrows);
+void putRowHead(Writer &w, uint32_t ncells);
+void putResultTail(Writer &w, const ResultBody &b, uint32_t level);
 
 std::string encodeStats(const StatsBody &b);
 bool decodeStats(const std::string &payload, StatsBody &out);

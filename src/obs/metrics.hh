@@ -290,12 +290,17 @@ class Registry
             fn(name, static_cast<const Histogram &>(*h));
     }
 
-    /** The process-wide registry every instrumentation site targets. */
+    /**
+     * The process-wide registry every instrumentation site targets.
+     * Never destroyed: static objects (a function-static DataSet's
+     * dictionary, say) flush metrics from their destructors at exit,
+     * whatever their destruction order relative to this one.
+     */
     static Registry &
     global()
     {
-        static Registry r;
-        return r;
+        static Registry *r = new Registry;
+        return *r;
     }
 
   private:

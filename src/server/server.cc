@@ -67,20 +67,12 @@ looksLikeLoad(const std::string &sql)
     return true;
 }
 
-net::Cell
-slotToCell(const engine::DataSet &data, storage::Slot s)
+/** A complete ERROR frame. */
+std::string
+errorFrame(net::ErrorCode code, const std::string &message)
 {
-    net::Cell c;
-    if (storage::isNull(s)) {
-        c.kind = net::Cell::Kind::Null;
-    } else if (storage::isStringSlot(s)) {
-        c.kind = net::Cell::Kind::Str;
-        c.s = data.dict.text(storage::decodeString(s));
-    } else {
-        c.kind = net::Cell::Kind::Int;
-        c.i = s;
-    }
-    return c;
+    return net::encodeFrame(net::FrameType::Error,
+                            net::encodeError(net::ErrorBody{code, message}));
 }
 
 /** The process-wide signal target (see installSignalHandlers). */
@@ -115,13 +107,13 @@ struct Server::Session
 
     ~Session() { net::closeFd(fd); }
 
+    /** Send one complete frame (header included). */
     bool
-    writeFrame(net::FrameType type, const std::string &payload)
+    sendFrame(const std::string &frame)
     {
         std::lock_guard<std::mutex> lock(write_mu);
         if (dead.load(std::memory_order_relaxed))
             return false;
-        std::string frame = net::encodeFrame(type, payload);
         if (!net::sendAll(fd, frame.data(), frame.size())) {
             dead.store(true, std::memory_order_relaxed);
             return false;
@@ -130,10 +122,15 @@ struct Server::Session
     }
 
     bool
+    writeFrame(net::FrameType type, const std::string &payload)
+    {
+        return sendFrame(net::encodeFrame(type, payload));
+    }
+
+    bool
     writeError(net::ErrorCode code, const std::string &message)
     {
-        net::ErrorBody e{code, message};
-        return writeFrame(net::FrameType::Error, net::encodeError(e));
+        return sendFrame(errorFrame(code, message));
     }
 };
 
@@ -563,6 +560,8 @@ Server::buildStats()
                               snap.protocolErrors);
     body.entries.emplace_back("sessions_active", sessions.size());
     body.entries.emplace_back("inflight", inflight());
+    body.entries.emplace_back("result_rows_total", snap.resultRows);
+    body.entries.emplace_back("result_bytes_total", snap.resultBytes);
     body.entries.emplace_back(
         "parse_docs_total",
         parse_docs_.load(std::memory_order_relaxed));
@@ -694,7 +693,8 @@ jsonEscape(const std::string &s)
 
 void
 Server::logSlowQuery(const Task &task, const sql::RunResult &r,
-                     uint64_t layoutEpoch,
+                     uint64_t layoutEpoch, uint64_t resultRows,
+                     uint64_t resultBytes,
                      const engine::LoadStats *loadStats)
 {
     std::string line = "{\"statement\":\"" + jsonEscape(task.sql) +
@@ -707,6 +707,8 @@ Server::logSlowQuery(const Task &task, const sql::RunResult &r,
     line += ",\"exec_ns\":" +
             std::to_string(static_cast<uint64_t>(r.seconds * 1e9));
     line += ",\"layout_epoch\":" + std::to_string(layoutEpoch);
+    line += ",\"result_rows\":" + std::to_string(resultRows);
+    line += ",\"result_bytes\":" + std::to_string(resultBytes);
     if (r.hasStats) {
         line += ",\"stats\":{";
         bool first = true;
@@ -732,6 +734,39 @@ Server::logSlowQuery(const Task &task, const sql::RunResult &r,
     std::ofstream out(cfg.slowLogPath, std::ios::app);
     if (out)
         out << line;
+}
+
+std::optional<std::string>
+encodeResultFrame(const net::ResultBody &meta,
+                  const engine::ResultSet *rows,
+                  const storage::Dictionary *dict, uint32_t level,
+                  size_t cap)
+{
+    const size_t nrows = rows == nullptr ? 0 : rows->rowCount();
+    const size_t width = rows == nullptr ? 0 : rows->width();
+    // Reserve for 9-byte (integer) cells; string cells grow the buffer.
+    net::Writer w = net::Writer::forFrame(
+        std::min(cap, 256 + meta.oids.size() * sizeof(int64_t) +
+                          nrows * (4 + width * 9)));
+    net::putResultHead(w, meta, static_cast<uint32_t>(nrows));
+    for (size_t i = 0; i < nrows; ++i) {
+        net::putRowHead(w, static_cast<uint32_t>(width));
+        for (storage::Slot s : rows->row(i)) {
+            if (storage::isNull(s))
+                net::putCell(w, net::Cell::Kind::Null);
+            else if (storage::isStringSlot(s))
+                net::putCell(w, net::Cell::Kind::Str, 0,
+                             dict->text(storage::decodeString(s)));
+            else
+                net::putCell(w, net::Cell::Kind::Int, s);
+        }
+        if (w.payloadSize() > cap)
+            return std::nullopt;
+    }
+    net::putResultTail(w, meta, level);
+    if (w.payloadSize() > cap)
+        return std::nullopt;
+    return w.finishFrame(net::FrameType::Result);
 }
 
 // ---------------------------------------------------------------------
@@ -765,6 +800,7 @@ Server::workerLoop()
 void
 Server::executeTask(Task &task)
 {
+    const uint64_t t_dequeued = nowNs();
     {
         std::function<void()> hook;
         {
@@ -833,6 +869,7 @@ Server::executeTask(Task &task)
         };
     }
 
+    const uint64_t t_exec = nowNs();
     sql::RunResult r;
     {
         // Client-propagated trace id, stamped into the span so a wire
@@ -866,6 +903,9 @@ Server::executeTask(Task &task)
         }
     }
 
+    const uint64_t t_encode = nowNs();
+    std::string frame;
+    uint64_t result_rows = 0, result_bytes = 0;
     if (!r.ok) {
         net::ErrorCode code = net::ErrorCode::Exec;
         if (r.errorKind == sql::RunResult::Error::Parse)
@@ -874,60 +914,77 @@ Server::executeTask(Task &task)
             code = net::ErrorCode::Unsupported;
         else if (r.errorKind == sql::RunResult::Error::ReadOnly)
             code = net::ErrorCode::ReadOnly;
-        task.session->writeError(code, r.error);
+        frame = errorFrame(code, r.error);
     } else {
         net::ResultBody body;
-        if (r.kind == sql::RunResult::Kind::Message) {
-            body.kind = net::ResultBody::Kind::Message;
-            body.message = r.message;
-        } else {
-            const engine::DataSet &data = engine->snapshot()->data();
-            body.kind = net::ResultBody::Kind::Rows;
-            {
-                // Catalog names can reallocate under concurrent
-                // ingest; resolve headers under the read lock.
-                auto lock = data.readLock();
-                body.columns = sql::resultColumns(data, r.query);
-            }
-            body.oids = r.rows.oids;
-            body.rows.reserve(r.rows.rows.size());
-            {
-                // DataSet read lock while decoding string ids: a
-                // concurrent INSERT or LOAD grows the dictionary.
-                auto lock = data.readLock();
-                for (const auto &row : r.rows.rows) {
-                    std::vector<net::Cell> cells;
-                    cells.reserve(row.size());
-                    for (storage::Slot slot : row)
-                        cells.push_back(slotToCell(data, slot));
-                    body.rows.push_back(std::move(cells));
-                }
-            }
-            body.digest = r.rows.digest();
-            body.checksum = r.rows.checksum;
-        }
         body.execNs = static_cast<uint64_t>(r.seconds * 1e9);
         // Level-2 extras: echo the trace id and ship the per-operator
-        // summary.  encodeResult drops both on level-1 sessions, so a
+        // summary.  The encoder drops both on level-1 sessions, so a
         // pre-TLV client still decodes the frame unchanged.
         body.hasTraceId = task.hasTraceId;
         body.traceId = task.traceId;
         if (r.hasStats)
             body.opStats = r.stats.summary();
-        task.session->writeFrame(
-            net::FrameType::Result,
-            encodeResult(body, task.session->featureLevel));
-
-        if (cfg.slowMs > 0 && !cfg.slowLogPath.empty() &&
-            r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
-            DVP_COUNTER_INC("dvp_server_slow_queries_total");
-            logSlowQuery(task, r, r.stats.planEpoch,
-                         did_load ? &load_stats : nullptr);
+        std::optional<std::string> encoded;
+        if (r.kind == sql::RunResult::Kind::Message) {
+            body.kind = net::ResultBody::Kind::Message;
+            body.message = r.message;
+            encoded = encodeResultFrame(body, nullptr, nullptr,
+                                        task.session->featureLevel);
+        } else {
+            const engine::DataSet &data = engine->snapshot()->data();
+            body.kind = net::ResultBody::Kind::Rows;
+            body.digest = r.rows.digest();
+            body.checksum = r.rows.checksum;
+            body.oids = std::move(r.rows.oids);
+            result_rows = r.rows.rowCount();
+            // DataSet read lock while resolving headers and string
+            // ids: a concurrent INSERT or LOAD grows the catalog and
+            // the dictionary.
+            auto lock = data.readLock();
+            body.columns = sql::resultColumns(data, r.query);
+            encoded = encodeResultFrame(body, &r.rows, &data.dict,
+                                        task.session->featureLevel);
+        }
+        if (encoded) {
+            frame = std::move(*encoded);
+            result_bytes = frame.size() - net::kHeaderBytes;
+        } else {
+            frame = errorFrame(
+                net::ErrorCode::ResultTooLarge,
+                "result of " + std::to_string(result_rows) +
+                    " rows exceeds the " +
+                    std::to_string(net::kMaxPayload >> 20) +
+                    " MiB frame limit");
         }
     }
+    {
+        // Counted before the send: a client that has its answer and
+        // asks for STATS sees this request in the totals.
+        std::lock_guard<std::mutex> lock(stats_mu);
+        stats_.resultRows += result_rows;
+        stats_.resultBytes += result_bytes;
+    }
+    const uint64_t t_send = nowNs();
+    task.session->sendFrame(frame);
+    const uint64_t t_done = nowNs();
 
-    DVP_HISTOGRAM_OBSERVE("dvp_server_request_ns",
-                          nowNs() - task.enqueuedNs);
+    DVP_HISTOGRAM_OBSERVE("dvp_server_stage_ns{stage=\"queue\"}",
+                          t_dequeued - task.enqueuedNs);
+    DVP_HISTOGRAM_OBSERVE("dvp_server_stage_ns{stage=\"execute\"}",
+                          t_encode - t_exec);
+    DVP_HISTOGRAM_OBSERVE("dvp_server_stage_ns{stage=\"encode\"}",
+                          t_send - t_encode);
+    DVP_HISTOGRAM_OBSERVE("dvp_server_stage_ns{stage=\"send\"}",
+                          t_done - t_send);
+    // --slow-ms 0 logs every executed statement.
+    if (r.ok && !cfg.slowLogPath.empty() &&
+        r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
+        DVP_COUNTER_INC("dvp_server_slow_queries_total");
+        logSlowQuery(task, r, r.stats.planEpoch, result_rows,
+                     result_bytes, did_load ? &load_stats : nullptr);
+    }
+
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     if (draining_.load(std::memory_order_relaxed))
         wake(); // let the event loop notice drain completion promptly

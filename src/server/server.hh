@@ -47,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -57,6 +58,7 @@
 #include "engine/load.hh"
 #include "net/wire.hh"
 #include "sql/run.hh"
+#include "storage/dictionary.hh"
 
 namespace dvp::server
 {
@@ -106,9 +108,10 @@ struct Config
     std::string name = "dvpd";
 
     /**
-     * Slow-query log: a statement slower than slowMs appends one
+     * Slow-query log: a statement taking at least slowMs appends one
      * NDJSON record (statement, trace id, operator stats, layout
-     * epoch) to slowLogPath.  0 or an empty path disables it.
+     * epoch, result rows and bytes) to slowLogPath.  An empty path
+     * disables it; slowMs 0 logs every executed statement.
      */
     uint32_t slowMs = 0;
     std::string slowLogPath;
@@ -121,7 +124,25 @@ struct ServerStats
     uint64_t requests = 0;    ///< QUERY frames admitted
     uint64_t rejects = 0;     ///< QUERY frames rejected (busy/drain)
     uint64_t protocolErrors = 0;
+    uint64_t resultRows = 0;  ///< rows of every row result executed
+    uint64_t resultBytes = 0; ///< RESULT payload bytes sent
 };
+
+/**
+ * Encode a RESULT frame, header included, straight from @p rows's
+ * flat slots: no Cell per slot and no payload copy behind the header.
+ * @p meta supplies every field but the rows (its own rows are
+ * ignored); @p rows is null for a Message result.  String slots
+ * resolve through @p dict, so the caller holds the DataSet read lock.
+ * The bytes equal encodeFrame(Result, encodeResult(...)) over the
+ * same cells.  Returns nullopt, having stopped early, once the
+ * payload would exceed @p cap.
+ */
+std::optional<std::string>
+encodeResultFrame(const net::ResultBody &meta,
+                  const engine::ResultSet *rows,
+                  const storage::Dictionary *dict, uint32_t level,
+                  size_t cap = net::kMaxPayload);
 
 /** The server.  One instance serves one AdaptiveEngine. */
 class Server
@@ -212,7 +233,8 @@ class Server
     void executeTask(Task &task);
     net::StatsBody buildStats();
     void logSlowQuery(const Task &task, const sql::RunResult &r,
-                      uint64_t layoutEpoch,
+                      uint64_t layoutEpoch, uint64_t resultRows,
+                      uint64_t resultBytes,
                       const engine::LoadStats *loadStats = nullptr);
 
     adaptive::AdaptiveEngine *engine;

@@ -101,9 +101,9 @@ TEST_F(ArgoTiny, ProjectionFindsValues)
                    data.catalog.find("institution")};
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 2u);
-    EXPECT_EQ(rs.rows[0][0], 100);
-    EXPECT_EQ(rs.rows[1][0], 200);
-    EXPECT_TRUE(isNull(rs.rows[1][1])); // Mary has no institution
+    EXPECT_EQ(rs.row(0)[0], 100);
+    EXPECT_EQ(rs.row(1)[0], 200);
+    EXPECT_TRUE(isNull(rs.row(1)[1])); // Mary has no institution
 }
 
 TEST_F(ArgoTiny, InsertGrowsTables)

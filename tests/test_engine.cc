@@ -28,6 +28,14 @@ using storage::AttrId;
 using storage::kNullSlot;
 using storage::Slot;
 
+/** Row @p i of @p rs as a vector (for EXPECT_EQ). */
+std::vector<Slot>
+rowOf(const ResultSet &rs, size_t i)
+{
+    auto row = rs.row(i);
+    return {row.begin(), row.end()};
+}
+
 /** Tiny hand-built data set with known contents. */
 class TinyDb : public ::testing::Test
 {
@@ -77,8 +85,8 @@ TEST_F(TinyDb, ProjectionSkipsAllNullRows)
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 2u); // only docs 1 and 3 have s1
     EXPECT_EQ(rs.oids, (std::vector<int64_t>{1, 3}));
-    EXPECT_EQ(rs.rows[0][0], str("p"));
-    EXPECT_EQ(rs.rows[1][0], str("q"));
+    EXPECT_EQ(rs.row(0)[0], str("p"));
+    EXPECT_EQ(rs.row(1)[0], str("q"));
 }
 
 TEST_F(TinyDb, ProjectionEmitsNullsForPartialRows)
@@ -91,8 +99,8 @@ TEST_F(TinyDb, ProjectionEmitsNullsForPartialRows)
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 5u);
     // doc2 has b but no c.
-    EXPECT_EQ(rs.rows[2][0], str("y"));
-    EXPECT_TRUE(storage::isNull(rs.rows[2][1]));
+    EXPECT_EQ(rs.row(2)[0], str("y"));
+    EXPECT_TRUE(storage::isNull(rs.row(2)[1]));
 }
 
 TEST_F(TinyDb, SelectEqSingleRecord)
@@ -109,9 +117,9 @@ TEST_F(TinyDb, SelectEqSingleRecord)
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 1u);
     EXPECT_EQ(rs.oids[0], 2);
-    EXPECT_EQ(rs.rows[0][a], 3);
-    EXPECT_EQ(rs.rows[0][d], 1);
-    EXPECT_TRUE(storage::isNull(rs.rows[0][c]));
+    EXPECT_EQ(rs.row(0)[a], 3);
+    EXPECT_EQ(rs.row(0)[d], 1);
+    EXPECT_TRUE(storage::isNull(rs.row(0)[c]));
 }
 
 TEST_F(TinyDb, SelectBetweenNumeric)
@@ -129,8 +137,8 @@ TEST_F(TinyDb, SelectBetweenNumeric)
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 2u);
     EXPECT_EQ(rs.oids, (std::vector<int64_t>{1, 3}));
-    EXPECT_EQ(rs.rows[0], (std::vector<Slot>{2, 20}));
-    EXPECT_EQ(rs.rows[1], (std::vector<Slot>{4, 40}));
+    EXPECT_EQ(rowOf(rs, 0), (std::vector<Slot>{2, 20}));
+    EXPECT_EQ(rowOf(rs, 1), (std::vector<Slot>{4, 40}));
 }
 
 TEST_F(TinyDb, BetweenSkipsStringSlots)
@@ -177,11 +185,42 @@ TEST_F(TinyDb, AggregateCountsGroups)
     // NULL (doc 1).
     ASSERT_EQ(rs.rowCount(), 3u);
     std::map<Slot, Slot> groups;
-    for (const auto &row : rs.rows)
-        groups[row[0]] = row[1];
+    for (size_t r = 0; r < rs.rowCount(); ++r)
+        groups[rs.row(r)[0]] = rs.row(r)[1];
     EXPECT_EQ(groups[str("x")], 2);
     EXPECT_EQ(groups[str("y")], 1);
     EXPECT_EQ(groups[kNullSlot], 1);
+}
+
+TEST_F(TinyDb, CountStarReadsWholeRecordsButKeepsOnlyTheGroupCell)
+{
+    // SQL's COUNT(*) ... GROUP BY is a SELECT * aggregate: its
+    // selection reads every cell of each match (same checksum as the
+    // plain SELECT *), while its rows keep only the grouping cell.
+    for (const Layout &l : {Layout::rowBased(data.catalog.allAttrs()),
+                            Layout::columnBased(data.catalog.allAttrs())}) {
+        Database db(data, l, "tiny");
+        Executor exec(db);
+        Query q;
+        q.kind = QueryKind::Aggregate;
+        q.selectAll = true;
+        q.cond.op = CondOp::Between;
+        q.cond.attr = a;
+        q.cond.lo = 1;
+        q.cond.hi = 4;
+        q.groupBy = b;
+        ResultSet rs = exec.run(q);
+        std::map<Slot, Slot> groups;
+        for (size_t r = 0; r < rs.rowCount(); ++r)
+            groups[rs.row(r)[0]] = rs.row(r)[1];
+        EXPECT_EQ(groups, (std::map<Slot, Slot>{
+                              {str("x"), 2}, {str("y"), 1}, {kNullSlot, 1}}));
+
+        Query all = q;
+        all.kind = QueryKind::Select;
+        all.groupBy = storage::kNoAttr;
+        EXPECT_EQ(rs.checksum, exec.run(all).checksum);
+    }
 }
 
 TEST_F(TinyDb, JoinMatchesPairs)
@@ -206,7 +245,7 @@ TEST_F(TinyDb, JoinMatchesPairs)
     q.cond.hi = 100;
     ResultSet rs = exec.run(q);
     ASSERT_EQ(rs.rowCount(), 1u);
-    EXPECT_EQ(rs.rows[0], (std::vector<Slot>{1, 5})); // s1 of 1 == b of 5
+    EXPECT_EQ(rowOf(rs, 0), (std::vector<Slot>{1, 5})); // s1 of 1 == b of 5
 }
 
 TEST_F(TinyDb, InsertAppendsToAllTables)
@@ -234,7 +273,7 @@ TEST_F(TinyDb, InsertAppendsToAllTables)
     probe.cond.lo = 7;
     ResultSet rs = exec.run(probe);
     ASSERT_EQ(rs.rowCount(), 1u);
-    EXPECT_EQ(rs.rows[0][0], 70);
+    EXPECT_EQ(rs.row(0)[0], 70);
 }
 
 TEST_F(TinyDb, UnknownConditionColumnYieldsEmpty)
@@ -249,24 +288,110 @@ TEST_F(TinyDb, UnknownConditionColumnYieldsEmpty)
     EXPECT_EQ(exec.run(q).rowCount(), 0u);
 }
 
+/** A result of width-@p w rows. */
+ResultSet
+resultOf(size_t w, std::initializer_list<std::vector<Slot>> rows)
+{
+    ResultSet rs(w);
+    for (const auto &row : rows)
+        rs.addRow(row);
+    return rs;
+}
+
 TEST(ResultSet, EqualsIsOrderInsensitive)
 {
-    ResultSet a, b;
-    a.rows = {{1, 2}, {3, 4}};
-    b.rows = {{3, 4}, {1, 2}};
+    ResultSet a = resultOf(2, {{1, 2}, {3, 4}});
+    ResultSet b = resultOf(2, {{3, 4}, {1, 2}});
     EXPECT_TRUE(a.equals(b));
     EXPECT_EQ(a.digest(), b.digest());
-    b.rows.push_back({5, 6});
+    b.addRow({5, 6});
     EXPECT_FALSE(a.equals(b));
     EXPECT_NE(a.digest(), b.digest());
 }
 
 TEST(ResultSet, DigestDistinguishesCellChanges)
 {
-    ResultSet a, b;
-    a.rows = {{1, 2}};
-    b.rows = {{1, 3}};
-    EXPECT_NE(a.digest(), b.digest());
+    EXPECT_NE(resultOf(2, {{1, 2}}).digest(),
+              resultOf(2, {{1, 3}}).digest());
+}
+
+TEST(ResultSet, FlatRowsAreWidthStrided)
+{
+    ResultSet rs(3);
+    Slot *row = rs.addRows(1);
+    EXPECT_TRUE(storage::isNull(row[0]) && storage::isNull(row[2]));
+    row[1] = 7;
+    rs.addRow({4, 5, 6});
+    ASSERT_EQ(rs.rowCount(), 2u);
+    EXPECT_EQ(rs.cells().size(), 6u);
+    EXPECT_EQ(rowOf(rs, 0), (std::vector<Slot>{kNullSlot, 7, kNullSlot}));
+    EXPECT_EQ(rowOf(rs, 1), (std::vector<Slot>{4, 5, 6}));
+
+    ResultSet tail(3);
+    tail.addRow({8, 9, 10});
+    tail.oids = {42};
+    tail.checksum = 0x5;
+    rs.checksum = 0x3;
+    rs.append(tail);
+    EXPECT_EQ(rs.rowCount(), 3u);
+    EXPECT_EQ(rowOf(rs, 2), (std::vector<Slot>{8, 9, 10}));
+    EXPECT_EQ(rs.oids, (std::vector<int64_t>{42}));
+    EXPECT_EQ(rs.checksum, 0x6u);
+}
+
+// The digest is a multiset hash of the rows: row order does not
+// matter; duplicate multiplicity, cell order, and adding or removing a
+// row all do.
+TEST(ResultSet, DigestIsPermutationInvariant)
+{
+    std::vector<std::vector<Slot>> rows;
+    for (Slot i = 0; i < 40; ++i)
+        rows.push_back({i, i * i, i % 3 == 0 ? kNullSlot : -i});
+    ResultSet a(3), b(3);
+    for (const auto &r : rows)
+        a.addRow(r);
+    Rng rng(5);
+    std::vector<std::vector<Slot>> shuffled = rows;
+    for (size_t i = shuffled.size() - 1; i > 0; --i)
+        std::swap(shuffled[i], shuffled[rng.below(i + 1)]);
+    for (const auto &r : shuffled)
+        b.addRow(r);
+    EXPECT_EQ(a.digest(), b.digest());
+    EXPECT_TRUE(a.equals(b));
+}
+
+TEST(ResultSet, DigestCountsDuplicateRows)
+{
+    ResultSet aab = resultOf(2, {{1, 2}, {1, 2}, {3, 4}});
+    ResultSet abb = resultOf(2, {{1, 2}, {3, 4}, {3, 4}});
+    ResultSet ab = resultOf(2, {{1, 2}, {3, 4}});
+    EXPECT_NE(aab.digest(), abb.digest());
+    EXPECT_NE(aab.digest(), ab.digest());
+    // Two equal pairs cancel under XOR; under a sum they do not.
+    ResultSet aabb = resultOf(2, {{1, 2}, {1, 2}, {3, 4}, {3, 4}});
+    EXPECT_NE(aabb.digest(), resultOf(2, {}).digest());
+    EXPECT_NE(aabb.digest(), ab.digest());
+}
+
+TEST(ResultSet, DigestDependsOnCellOrder)
+{
+    EXPECT_NE(resultOf(2, {{1, 2}}).digest(),
+              resultOf(2, {{2, 1}}).digest());
+    EXPECT_NE(resultOf(3, {{kNullSlot, 5, 6}}).digest(),
+              resultOf(3, {{5, kNullSlot, 6}}).digest());
+}
+
+TEST(ResultSet, DigestChangesWhenARowIsAddedOrRemoved)
+{
+    ResultSet base = resultOf(2, {{1, 2}, {3, 4}, {5, 6}});
+    ResultSet more = resultOf(2, {{1, 2}, {3, 4}, {5, 6}, {7, 8}});
+    ResultSet fewer = resultOf(2, {{1, 2}, {5, 6}});
+    EXPECT_NE(base.digest(), more.digest());
+    EXPECT_NE(base.digest(), fewer.digest());
+    // An all-NULL row still counts.
+    ResultSet nullrow = resultOf(2, {{1, 2}, {3, 4}, {5, 6}});
+    nullrow.addRows(1);
+    EXPECT_NE(base.digest(), nullrow.digest());
 }
 
 // ---------------------------------------------------------------------

@@ -101,17 +101,24 @@ class Reference
         return row;
     }
 
+    /** Row width of materialize(). */
+    size_t
+    width(const Query &q) const
+    {
+        return q.selectAll ? data->catalog.attrCount() : q.projected.size();
+    }
+
     ResultSet
     project(const Query &q) const
     {
-        ResultSet rs;
+        ResultSet rs(width(q));
         for (const auto &doc : data->docs) {
             std::vector<Slot> row = materialize(doc, q);
             bool any = std::any_of(row.begin(), row.end(),
                                    [](Slot s) { return !isNull(s); });
             if (any) {
                 rs.oids.push_back(doc.oid);
-                rs.rows.push_back(std::move(row));
+                rs.addRow(row);
             }
         }
         return rs;
@@ -120,12 +127,12 @@ class Reference
     ResultSet
     select(const Query &q) const
     {
-        ResultSet rs;
+        ResultSet rs(width(q));
         for (const auto &doc : data->docs) {
             if (!matches(doc, q.cond))
                 continue;
             rs.oids.push_back(doc.oid);
-            rs.rows.push_back(materialize(doc, q));
+            rs.addRow(materialize(doc, q));
         }
         return rs;
     }
@@ -137,16 +144,16 @@ class Reference
         for (const auto &doc : data->docs)
             if (matches(doc, q.cond))
                 ++counts[doc.slotOf(q.groupBy)];
-        ResultSet rs;
+        ResultSet rs(2);
         for (const auto &[key, count] : counts)
-            rs.rows.push_back({key, count});
+            rs.addRow({key, count});
         return rs;
     }
 
     ResultSet
     join(const Query &q) const
     {
-        ResultSet rs;
+        ResultSet rs(2);
         for (const auto &left : data->docs) {
             if (!matches(left, q.cond))
                 continue;
@@ -155,7 +162,7 @@ class Reference
                 continue;
             for (const auto &right : data->docs)
                 if (right.slotOf(q.joinRightAttr) == key)
-                    rs.rows.push_back({left.oid, right.oid});
+                    rs.addRow({left.oid, right.oid});
         }
         return rs;
     }

@@ -714,7 +714,7 @@ TEST(ParallelLoad, DigestsMatchSerialDomLoadAcrossLayouts)
                 ResultSet have = got_ex.run(q);
                 EXPECT_EQ(have.rowCount(), want.rowCount());
                 EXPECT_EQ(have.oids, want.oids);
-                EXPECT_EQ(have.rows, want.rows);
+                EXPECT_EQ(have.cells(), want.cells());
                 EXPECT_EQ(have.digest(), want.digest())
                     << l.name << " " << q.name
                     << " threads=" << threads;

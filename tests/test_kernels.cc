@@ -581,7 +581,8 @@ expectSame(const ResultSet &got, const ResultSet &ref)
     EXPECT_EQ(got.rowCount(), ref.rowCount());
     EXPECT_EQ(got.checksum, ref.checksum);
     EXPECT_EQ(got.oids, ref.oids);
-    EXPECT_EQ(got.rows, ref.rows); // bit-identical, not just equivalent
+    EXPECT_EQ(got.width(), ref.width());
+    EXPECT_EQ(got.cells(), ref.cells()); // bit-identical, not just equivalent
     EXPECT_EQ(got.digest(), ref.digest());
 }
 

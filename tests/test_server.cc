@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -39,6 +40,7 @@
 #include "server/http.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
+#include "storage/dictionary.hh"
 
 namespace dvp
 {
@@ -839,10 +841,14 @@ TEST_F(ServerWorld, ServerMetricsReachThePrometheusExporter)
               std::string::npos);
     EXPECT_NE(text.find("# TYPE dvp_server_queue_depth gauge"),
               std::string::npos);
-    EXPECT_NE(text.find("# TYPE dvp_server_request_ns histogram"),
+    // One request-latency histogram per stage.
+    EXPECT_NE(text.find("# TYPE dvp_server_stage_ns histogram"),
               std::string::npos);
-    EXPECT_NE(text.find("dvp_server_request_ns_count"),
-              std::string::npos);
+    for (const char *stage : {"queue", "execute", "encode", "send"})
+        EXPECT_NE(text.find(std::string("dvp_server_stage_ns_count") +
+                            "{stage=\"" + stage + "\"}"),
+                  std::string::npos)
+            << stage;
     // Gauges exist even when they currently read zero.
     EXPECT_NE(text.find("dvp_server_sessions_active"),
               std::string::npos);
@@ -1053,7 +1059,218 @@ TEST_F(ServerWorld, SlowQueryLogWritesNdjsonRecords)
     EXPECT_NE(line.find("\"layout_epoch\":"), std::string::npos);
     EXPECT_NE(line.find("\"stats\":{"), std::string::npos);
     EXPECT_NE(line.find("\"rows_out\":"), std::string::npos);
+    EXPECT_NE(line.find("\"result_rows\":"), std::string::npos);
+    EXPECT_NE(line.find("\"result_bytes\":"), std::string::npos);
     std::remove(path.c_str());
+}
+
+/** The unsigned value after "@p key": in an NDJSON line. */
+uint64_t
+jsonField(const std::string &line, const std::string &key)
+{
+    size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no " << key << " in " << line;
+        return 0;
+    }
+    return std::strtoull(line.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+TEST_F(ServerWorld, SlowMsZeroLogsEveryStatementWithResultSizes)
+{
+    World w;
+    std::string path = "slow_query_all_test.ndjson";
+    std::remove(path.c_str());
+
+    server::Config scfg;
+    scfg.slowMs = 0; // every statement
+    scfg.slowLogPath = path;
+    server::Server srv(*w.engine, scfg);
+    ASSERT_EQ(srv.start(), "");
+
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    const std::vector<std::string> stmts = {
+        "SELECT str1, num FROM t",
+        "SELECT * FROM t WHERE num BETWEEN 1000 AND 1999",
+        "SELECT * FROM t WHERE str1 = 'no such value'",
+    };
+    std::vector<size_t> rows;
+    for (const std::string &sql : stmts) {
+        client::Result r = c.query(sql);
+        ASSERT_TRUE(r.ok) << r.error;
+        rows.push_back(r.rows.size());
+    }
+    client::Stats st = c.stats();
+    ASSERT_TRUE(st.ok);
+    c.close();
+    srv.stop();
+
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), stmts.size());
+    uint64_t total_rows = 0, total_bytes = 0;
+    for (size_t i = 0; i < stmts.size(); ++i) {
+        // Workers append after answering, so match lines by statement.
+        auto line = std::find_if(
+            lines.begin(), lines.end(), [&](const std::string &l) {
+                return l.find("\"statement\":\"" + stmts[i] + "\"") !=
+                       std::string::npos;
+            });
+        ASSERT_NE(line, lines.end()) << stmts[i];
+        EXPECT_EQ(jsonField(*line, "result_rows"), rows[i]);
+        // Even an empty result ships its header and trailer.
+        EXPECT_GT(jsonField(*line, "result_bytes"), 0u);
+        total_rows += rows[i];
+        total_bytes += jsonField(*line, "result_bytes");
+    }
+    // STATS counts the same rows and bytes.
+    EXPECT_EQ(st.get("result_rows_total"), total_rows);
+    EXPECT_EQ(st.get("result_bytes_total"), total_bytes);
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The server's slot encoder against the Cell codec.
+// ---------------------------------------------------------------------
+
+/** The cells a client decodes from @p rs, built one Cell at a time. */
+std::vector<std::vector<net::Cell>>
+cellsOf(const engine::ResultSet &rs, const storage::Dictionary &dict)
+{
+    std::vector<std::vector<net::Cell>> rows;
+    for (size_t i = 0; i < rs.rowCount(); ++i) {
+        std::vector<net::Cell> row;
+        for (storage::Slot s : rs.row(i)) {
+            net::Cell c;
+            if (storage::isStringSlot(s)) {
+                c.kind = net::Cell::Kind::Str;
+                c.s = dict.text(storage::decodeString(s));
+            } else if (!storage::isNull(s)) {
+                c.kind = net::Cell::Kind::Int;
+                c.i = s;
+            }
+            row.push_back(std::move(c));
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+/** The RESULT frame the Cell codec builds for @p meta + @p rs. */
+std::string
+cellCodecFrame(const net::ResultBody &meta, const engine::ResultSet *rs,
+               const storage::Dictionary &dict, uint32_t level)
+{
+    net::ResultBody body = meta;
+    if (rs != nullptr)
+        body.rows = cellsOf(*rs, dict);
+    return net::encodeFrame(net::FrameType::Result,
+                            net::encodeResult(body, level));
+}
+
+TEST(SlotEncoder, MatchesTheCellCodecByteForByte)
+{
+    using storage::kNullSlot;
+    storage::Dictionary dict;
+    storage::Slot hello = storage::encodeString(dict.intern("hello"));
+    storage::Slot empty = storage::encodeString(dict.intern(""));
+    engine::ResultSet rs(4);
+    rs.addRow({42, hello, kNullSlot, empty});
+    rs.addRow({kNullSlot, kNullSlot, -7, hello});
+    rs.addRow({0, empty, INT64_MIN + 1, kNullSlot});
+    rs.oids = {3, 5, 8};
+    rs.checksum = 0x77;
+
+    net::ResultBody meta;
+    meta.columns = {"oid", "a", "b", "c", "d"};
+    meta.oids = rs.oids;
+    meta.digest = rs.digest();
+    meta.checksum = rs.checksum;
+    meta.execNs = 1234;
+    meta.hasTraceId = true;
+    meta.traceId = 0xfeed;
+    meta.opStats = {{"rows_out", 3}, {"rows_scanned", 10}};
+
+    engine::ResultSet none(4);
+    net::ResultBody none_meta;
+    none_meta.columns = meta.columns;
+    none_meta.digest = none.digest();
+
+    net::ResultBody msg;
+    msg.kind = net::ResultBody::Kind::Message;
+    msg.message = "ingested 3 documents";
+    msg.execNs = 99;
+
+    std::string frames[2];
+    for (uint32_t level : {net::kFeatureBase, net::kFeatureTrace}) {
+        SCOPED_TRACE(level);
+        std::optional<std::string> got =
+            server::encodeResultFrame(meta, &rs, &dict, level);
+        ASSERT_TRUE(got);
+        EXPECT_EQ(*got, cellCodecFrame(meta, &rs, dict, level));
+        frames[level - 1] = *got;
+
+        got = server::encodeResultFrame(none_meta, &none, &dict, level);
+        ASSERT_TRUE(got);
+        EXPECT_EQ(*got, cellCodecFrame(none_meta, &none, dict, level));
+
+        got = server::encodeResultFrame(msg, nullptr, nullptr, level);
+        ASSERT_TRUE(got);
+        EXPECT_EQ(*got, cellCodecFrame(msg, nullptr, dict, level));
+    }
+    // Level 2 appends the TLV block; level 1 stays pre-TLV.
+    EXPECT_LT(frames[0].size(), frames[1].size());
+
+    // And the frame decodes to the cells the slots stand for.
+    net::FrameAssembler as;
+    as.feed(frames[1].data(), frames[1].size());
+    net::Frame f;
+    ASSERT_TRUE(as.next(f));
+    net::ResultBody back;
+    ASSERT_TRUE(net::decodeResult(f.payload, back));
+    ASSERT_EQ(back.rows.size(), 3u);
+    EXPECT_EQ(back.rows[0][1].s, "hello");
+    EXPECT_EQ(back.rows[0][3].kind, net::Cell::Kind::Str);
+    EXPECT_EQ(back.rows[0][3].s, "");
+    EXPECT_EQ(back.rows[1][0].kind, net::Cell::Kind::Null);
+    EXPECT_EQ(back.rows[1][2].i, -7);
+    EXPECT_EQ(back.oids, rs.oids);
+    EXPECT_EQ(back.digest, rs.digest());
+    EXPECT_EQ(back.traceId, 0xfeedu);
+}
+
+TEST(SlotEncoder, StopsWithNoFrameOncePastTheCap)
+{
+    storage::Dictionary dict;
+    storage::Slot str = storage::encodeString(dict.intern("abcdefgh"));
+    engine::ResultSet rs(2);
+    for (int64_t i = 0; i < 1000; ++i)
+        rs.addRow({i, str});
+    net::ResultBody meta;
+    meta.columns = {"oid", "n", "s"};
+    meta.oids.assign(1000, 1);
+
+    std::optional<std::string> full =
+        server::encodeResultFrame(meta, &rs, &dict, net::kFeatureBase);
+    ASSERT_TRUE(full);
+    const size_t payload = full->size() - net::kHeaderBytes;
+    // The cap bounds the payload exactly, trailer included.
+    EXPECT_TRUE(server::encodeResultFrame(meta, &rs, &dict,
+                                          net::kFeatureBase, payload));
+    EXPECT_FALSE(server::encodeResultFrame(meta, &rs, &dict,
+                                           net::kFeatureBase,
+                                           payload - 1));
+    EXPECT_FALSE(server::encodeResultFrame(meta, &rs, &dict,
+                                           net::kFeatureBase, 1024));
+    // The default cap is the frame limit the client enforces.
+    EXPECT_TRUE(server::encodeResultFrame(meta, &rs, &dict,
+                                          net::kFeatureBase));
+    EXPECT_STREQ(net::errorCodeName(net::ErrorCode::ResultTooLarge),
+                 "RESULT_TOO_LARGE");
+    EXPECT_EQ(static_cast<uint16_t>(net::ErrorCode::ResultTooLarge), 8);
 }
 
 } // namespace

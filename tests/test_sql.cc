@@ -180,8 +180,8 @@ TEST_F(SqlWorld, CountGroupByParses)
     engine::Executor exec(*db);
     engine::ResultSet rs = exec.run(r.query);
     int64_t total = 0;
-    for (const auto &row : rs.rows)
-        total += row[1];
+    for (size_t r = 0; r < rs.rowCount(); ++r)
+        total += rs.row(r)[1];
     EXPECT_NEAR(static_cast<double>(total), cfg.numDocs / 2.0,
                 cfg.numDocs * 0.1);
 }
