@@ -10,7 +10,7 @@
  *   \layout          show the current partitions
  *   \stats           show workload statistics
  *   \repartition     force a repartition from observed statistics
- *   \explain <sql>   show the bound physical plan + cache provenance
+ *   \explain <sql>   show the bound physical plan
  *   \explain+ <sql>  EXPLAIN ANALYZE: execute and show operator stats
  *   \save <file>     snapshot data + layout to a binary image
  *   \open <file>     replace the session with a saved snapshot

@@ -189,7 +189,6 @@ AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
     Timer timer;
     engine::Executor exec(*snap.base, threads());
     exec.setMorselRows(morselRows());
-    exec.setPlanCache(&plan_cache);
     exec.setDelta(snap.delta.get(), snap.deltaRows);
     engine::ResultSet rs = exec.run(q, stats);
     double seconds = timer.seconds();

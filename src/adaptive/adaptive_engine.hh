@@ -279,14 +279,6 @@ class AdaptiveEngine
     }
 
     /**
-     * The engine's plan cache.  Entries are keyed by template signature
-     * and epoch-stamped, so the atomic swap a repartition performs
-     * invalidates every cached plan for free (see plan_cache.hh).
-     */
-    engine::PlanCache &planCache() { return plan_cache; }
-    const engine::PlanCache &planCache() const { return plan_cache; }
-
-    /**
      * Attach a durability manager: every ingest batch is WAL-logged
      * before it is acknowledged and every layout swap writes a Swap
      * record; the manager's checkpoint cut provider is bound to
@@ -331,7 +323,6 @@ class AdaptiveEngine
     mutable std::mutex db_mutex;   ///< guards db swaps and doc appends
     std::shared_ptr<engine::Database> db;
     std::shared_ptr<storage::DeltaStore> delta_; ///< swap under db_mutex
-    engine::PlanCache plan_cache;
 
     /**
      * Guards the statistics collector and change detector.  execute()

@@ -244,16 +244,9 @@ Manager::open(engine::DataSet &out, RecoveryInfo &info)
             return "snapshot '" + m.snapshotFile + "': " + lr.error;
         out = std::move(lr.data);
         info.layout = std::move(lr.layout);
-        if (lr.meta) {
-            info.epoch = lr.meta->epoch;
-            info.baseDocs = lr.meta->baseDocs;
-            snapshot_lsn = lr.meta->walLsn;
-        } else {
-            // Rev-1 image: everything in it is base.
-            info.epoch = m.epoch;
-            info.baseDocs = out.docs.size();
-            snapshot_lsn = m.snapshotLsn;
-        }
+        info.epoch = lr.meta.epoch;
+        info.baseDocs = lr.meta.baseDocs;
+        snapshot_lsn = lr.meta.walLsn;
         info.snapshotDocs = out.docs.size();
     }
     info.lastLsn = snapshot_lsn;

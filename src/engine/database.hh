@@ -137,8 +137,9 @@ class Database
     /**
      * Layout epoch: a process-wide monotone stamp taken at
      * construction.  Every adaptive swap installs a freshly built
-     * Database and therefore a new epoch, which is what keys — and
-     * invalidates for free — cached physical plans (see plan_cache.hh).
+     * Database and therefore a new epoch; a PhysicalPlan records the
+     * epoch it was bound against, and Executor::execute() refuses a
+     * plan from any other.
      */
     uint64_t epoch() const { return epoch_; }
 

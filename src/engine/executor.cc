@@ -1403,21 +1403,15 @@ fillStats(QueryStats &s, const Exec<NullTracer> &exec,
 
 } // namespace
 
-const PhysicalPlan *
-Executor::bound(const Query &q, std::shared_ptr<const PhysicalPlan> &keep,
-                PhysicalPlan &local, bool *cache_hit)
+PhysicalPlan
+Executor::bound(const Query &q)
 {
     DVP_TRACE_SPAN(plan_span, "plan", q.name.c_str());
-    // Binding (and the cache's freshness check) reads the live catalog;
-    // a concurrent ingest grows it under the DataSet write lock, so
-    // take the matching read lock for the duration of the bind.
+    // Binding reads the live catalog; a concurrent ingest grows it
+    // under the DataSet write lock, so take the matching read lock for
+    // the duration of the bind.
     auto catalog_lock = db->data().readLock();
-    if (plan_cache != nullptr) {
-        keep = plan_cache->bind(*db, q, cache_hit);
-        return keep.get();
-    }
-    local = bindPlan(*db, q);
-    return &local;
+    return bindPlan(*db, q);
 }
 
 ResultSet
@@ -1427,12 +1421,9 @@ Executor::run(const Query &q, QueryStats *stats)
     DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
 #endif
     auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const PhysicalPlan> keep;
-    PhysicalPlan local;
-    bool cache_hit = false;
-    const PhysicalPlan *plan = bound(q, keep, local, &cache_hit);
+    const PhysicalPlan plan = bound(q);
     auto t1 = std::chrono::steady_clock::now();
-    Exec<NullTracer> exec(*db, *plan, NullTracer{}, threads_,
+    Exec<NullTracer> exec(*db, plan, NullTracer{}, threads_,
                           morsel_rows, vectorized_, delta_,
                           delta_rows_);
     ResultSet rs = ops::runQuery(exec, q);
@@ -1450,12 +1441,8 @@ Executor::run(const Query &q, QueryStats *stats)
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 -
                                                                  t0)
                 .count());
-        stats->planSource = plan_cache == nullptr
-                                ? PlanSource::AdHoc
-                                : (cache_hit ? PlanSource::CacheHit
-                                             : PlanSource::CacheMiss);
-        stats->planEpoch = plan->epoch;
-        stats->layoutFingerprint = plan->layoutFingerprint;
+        stats->planEpoch = plan.epoch;
+        stats->layoutFingerprint = plan.layoutFingerprint;
         stats->threads = threads_;
     }
     return rs;
@@ -1473,10 +1460,8 @@ Executor::run(const Query &q, perf::MemoryHierarchy &mh)
               "simulated traces require an uncompressed database");
     invariant(delta_ == nullptr || delta_rows_ == 0,
               "simulated traces require an empty delta");
-    std::shared_ptr<const PhysicalPlan> keep;
-    PhysicalPlan local;
-    const PhysicalPlan *plan = bound(q, keep, local);
-    Exec<SimTracer> exec(*db, *plan, SimTracer{&mh, nullptr}, 1,
+    const PhysicalPlan plan = bound(q);
+    Exec<SimTracer> exec(*db, plan, SimTracer{&mh, nullptr}, 1,
                          morsel_rows, false);
     return ops::runQuery(exec, q);
 }
@@ -1506,7 +1491,6 @@ Executor::execute(const PhysicalPlan &plan, const Query &q,
         fillStats(*stats, exec, rs);
         stats->execNs = ns;
         stats->planNs = 0;
-        stats->planSource = PlanSource::PreBound;
         stats->planEpoch = plan.epoch;
         stats->layoutFingerprint = plan.layoutFingerprint;
         stats->threads = threads_;

@@ -33,7 +33,6 @@
 
 #include "engine/database.hh"
 #include "engine/plan.hh"
-#include "engine/plan_cache.hh"
 #include "engine/query.hh"
 #include "engine/query_stats.hh"
 #include "engine/tracer.hh"
@@ -45,11 +44,11 @@ namespace dvp::engine
 /**
  * Executes queries against one Database.
  *
- * Execution is a bind -> execute pipeline: run(q) first obtains a
- * PhysicalPlan — from the attached PlanCache when one is set (and
- * fresh), by calling bindPlan() otherwise — then walks the bound
- * operators.  The cached hot path performs no catalog or attribute-
- * index lookups at all.
+ * Execution is a bind -> execute pipeline: run(q) binds a private
+ * PhysicalPlan with bindPlan() (a catalog walk, no table reads) and
+ * then walks the bound operators, which perform no catalog or
+ * attribute-index lookups.  execute() skips the bind for a
+ * caller that already holds a plan.
  */
 class Executor
 {
@@ -87,13 +86,6 @@ class Executor
      */
     void setVectorized(bool on) { vectorized_ = on; }
     bool vectorized() const { return vectorized_; }
-
-    /**
-     * Serve plans from @p cache (owned by the caller; may be shared by
-     * many executors).  Null detaches.  Without a cache every run()
-     * binds a private plan.
-     */
-    void setPlanCache(PlanCache *cache) { plan_cache = cache; }
 
     /**
      * Merge the first @p rows rows of @p delta — the immutable tail
@@ -136,20 +128,13 @@ class Executor
                       QueryStats *stats = nullptr);
 
   private:
-    /**
-     * Plan for @p q: cached when possible, else bound into @p local.
-     * @p cache_hit, when non-null, receives whether the plan came from
-     * the cache (false when no cache is attached).
-     */
-    const PhysicalPlan *
-    bound(const Query &q, std::shared_ptr<const PhysicalPlan> &keep,
-          PhysicalPlan &local, bool *cache_hit = nullptr);
+    /** Bind @p q under the catalog read lock. */
+    PhysicalPlan bound(const Query &q);
 
     Database *db;
     size_t threads_;
     size_t morsel_rows = kDefaultMorselRows;
     bool vectorized_ = true;
-    PlanCache *plan_cache = nullptr;
     const storage::DeltaStore *delta_ = nullptr;
     size_t delta_rows_ = 0;
 };

@@ -217,47 +217,12 @@ partitionList(const std::vector<int> &tables)
 
 } // namespace
 
-uint64_t
-planSignature(const Query &q)
-{
-    uint64_t h = 1469598103934665603ull; // FNV-1a
-    for (uint64_t v : templateKey(q)) {
-        h ^= v;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::vector<uint64_t>
-templateKey(const Query &q)
-{
-    std::vector<uint64_t> key;
-    key.reserve(8 + q.projected.size() + q.cond.anyAttrs.size());
-    key.push_back(static_cast<uint64_t>(q.kind));
-    key.push_back(q.selectAll ? 1 : 0);
-    key.push_back(q.projected.size());
-    for (AttrId a : q.projected)
-        key.push_back(a);
-    key.push_back(static_cast<uint64_t>(q.cond.op));
-    key.push_back(q.cond.attr);
-    key.push_back(q.cond.anyAttrs.size());
-    for (AttrId a : q.cond.anyAttrs)
-        key.push_back(a);
-    key.push_back(q.groupBy);
-    key.push_back(q.joinLeftAttr);
-    key.push_back(q.joinRightAttr);
-    return key;
-}
-
 PhysicalPlan
 bindPlan(const Database &db, const Query &q)
 {
-    DVP_COUNTER_INC("dvp_plan_binds_total");
     PhysicalPlan plan;
     plan.kind = q.kind;
     plan.templateName = q.name;
-    plan.signature = planSignature(q);
-    plan.key = templateKey(q);
     plan.epoch = db.epoch();
     plan.layoutFingerprint = db.layoutFingerprint();
     plan.catalogWidth = db.data().catalog.attrCount();
@@ -297,10 +262,10 @@ PhysicalPlan::describe(const Database &db) const
     char line[256];
     std::snprintf(line, sizeof(line),
                   "PhysicalPlan %s kind=%s epoch=%" PRIu64
-                  " layout=0x%016" PRIx64 " signature=0x%016" PRIx64 "\n",
+                  " layout=0x%016" PRIx64 "\n",
                   templateName.empty() ? "<unnamed>"
                                        : templateName.c_str(),
-                  kindName(kind), epoch, layoutFingerprint, signature);
+                  kindName(kind), epoch, layoutFingerprint);
     std::string out = line;
 
     auto filterLine = [&]() {

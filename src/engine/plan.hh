@@ -5,17 +5,17 @@
  * bindPlan() turns a logical Query into a PhysicalPlan of operator
  * nodes whose partition ids, column offsets, and driving table are
  * pre-resolved against one Database.  The executor then walks the plan
- * without consulting the catalog or the attribute index, so a cached
- * plan makes the hot path catalog-free (see plan_cache.hh).
+ * without consulting the catalog or the attribute index.  Every
+ * Executor::run() binds afresh: a bind costs a small fraction of the
+ * scans it sets up, so there is no plan cache (DESIGN.md §11).
  *
  * Plans reference partitions by *table index*, never by pointer: the
  * executor re-derives `const Table *` from its Database snapshot, so a
  * plan is valid exactly as long as the Database it was bound against
  * (tracked by the epoch stamp).  Predicate literals (Condition::lo/hi)
  * and insert payloads are NOT part of the plan — they flow in from the
- * Query at execution time, which is what lets every instance of a
- * template (Q5 with different keys, Q6 with different ranges) share
- * one cached plan.
+ * Query at execution time, so one bound plan serves every instance of
+ * a template (Q5 with different keys, Q6 with different ranges).
  *
  * Binding performs no table reads, so the serial simulated access
  * sequence of a plan-driven execution is byte-for-byte the sequence
@@ -141,9 +141,6 @@ struct PhysicalPlan
     QueryKind kind = QueryKind::Project;
     std::string templateName; ///< Query::name at bind time
 
-    uint64_t signature = 0; ///< template attribute signature (cache key)
-    std::vector<uint64_t> key; ///< canonical template key (collision guard)
-
     uint64_t epoch = 0;             ///< Database::epoch() bound against
     uint64_t layoutFingerprint = 0; ///< Layout::fingerprint() at bind
     size_t catalogWidth = 0;        ///< catalog attr count at bind
@@ -173,17 +170,6 @@ struct PhysicalPlan
     /** Multi-line human-readable dump (EXPLAIN's body). */
     std::string describe(const Database &db) const;
 };
-
-/**
- * Template attribute signature: hashes the query's shape (kind,
- * projection, condition attributes, grouping and join columns) but not
- * its literal values, so all instances of one template collide on
- * purpose.  Distinct templates are disambiguated by PhysicalPlan::key.
- */
-uint64_t planSignature(const Query &q);
-
-/** Canonical flat encoding of the signature's fields. */
-std::vector<uint64_t> templateKey(const Query &q);
 
 /** Bind @p q against @p db.  Performs no table reads. */
 PhysicalPlan bindPlan(const Database &db, const Query &q);

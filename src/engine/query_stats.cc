@@ -3,18 +3,6 @@
 namespace dvp::engine
 {
 
-const char *
-planSourceName(PlanSource s)
-{
-    switch (s) {
-      case PlanSource::AdHoc: return "adhoc";
-      case PlanSource::CacheHit: return "hit";
-      case PlanSource::CacheMiss: return "miss";
-      case PlanSource::PreBound: return "prebound";
-    }
-    return "?";
-}
-
 std::vector<std::pair<std::string, uint64_t>>
 QueryStats::summary() const
 {
@@ -38,7 +26,6 @@ QueryStats::summary() const
         {"compressed_decompress", compressedEval[3]},
         {"morsels", morsels},
         {"threads", threads},
-        {"plan_source", static_cast<uint64_t>(planSource)},
         {"plan_epoch", planEpoch},
     };
 }

@@ -25,18 +25,6 @@
 namespace dvp::engine
 {
 
-/** How Executor::run obtained the physical plan. */
-enum class PlanSource : uint8_t
-{
-    AdHoc = 0,     ///< no cache attached: private bind
-    CacheHit = 1,  ///< served fresh from the plan cache
-    CacheMiss = 2, ///< cache attached but had to (re)bind
-    PreBound = 3,  ///< Executor::execute with a caller-held plan
-};
-
-/** Stable lowercase name of @p s (renders and metric labels). */
-const char *planSourceName(PlanSource s);
-
 /** Execution statistics for one query. */
 struct QueryStats
 {
@@ -60,7 +48,7 @@ struct QueryStats
 
     // -- per-run measurements (vary run to run) ------------------------
     uint64_t execNs = 0;     ///< whole-query wall time
-    uint64_t planNs = 0;     ///< bind / plan-cache lookup
+    uint64_t planNs = 0;     ///< bind (0 for a prebound plan)
     uint64_t filterNs = 0;   ///< WHERE scan (join build-side included)
     uint64_t retrieveNs = 0; ///< index retrieval of matches
     uint64_t projectNs = 0;  ///< merge-scan projection
@@ -69,7 +57,6 @@ struct QueryStats
     size_t threads = 1;      ///< lane cap the query ran under
 
     // -- provenance ----------------------------------------------------
-    PlanSource planSource = PlanSource::AdHoc;
     uint64_t planEpoch = 0;         ///< Database::epoch() executed on
     uint64_t layoutFingerprint = 0; ///< layout identity of that epoch
 

@@ -77,8 +77,8 @@ class Layout
     /**
      * Order-insensitive 64-bit hash of the partition sets: equivalent
      * layouts (equivalentTo) hash identically, and non-equivalent ones
-     * collide only with ordinary 64-bit-hash probability.  The plan
-     * cache keys cached physical plans on this together with the
+     * collide only with ordinary 64-bit-hash probability.  Bound
+     * physical plans and EXPLAIN ANALYZE record it next to the
      * database epoch.
      */
     uint64_t fingerprint() const;

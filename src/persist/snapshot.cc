@@ -12,8 +12,7 @@ namespace dvp::persist
 namespace
 {
 
-constexpr char kMagic[8] = {'D', 'V', 'P', 'S', 'N', 'A', 'P', '1'};
-constexpr char kMagic2[8] = {'D', 'V', 'P', 'S', 'N', 'A', 'P', '2'};
+constexpr char kMagic[8] = {'D', 'V', 'P', 'S', 'N', 'A', 'P', '2'};
 
 /** Little-endian append-only writer. */
 class Writer
@@ -162,10 +161,12 @@ serialize(const engine::DataSet &data, const layout::Layout *layout,
           const SnapshotMeta *meta)
 {
     Writer w;
-    w.u64(*reinterpret_cast<const uint64_t *>(kMagic2));
+    uint64_t magic = 0;
+    std::memcpy(&magic, kMagic, sizeof(magic));
+    w.u64(magic);
     w.u32(0); // flags, reserved
 
-    // Rev-2 meta block.
+    // Meta block.
     SnapshotMeta m = meta ? *meta : SnapshotMeta{};
     w.u64(m.epoch);
     w.u64(m.baseDocs);
@@ -224,48 +225,48 @@ LoadResult
 deserialize(const std::string &bytes)
 {
     LoadResult out;
-    const bool rev2 =
-        bytes.size() >= 8 && std::memcmp(bytes.data(), kMagic2, 8) == 0;
-    size_t limit = bytes.size();
-    if (rev2) {
-        // Verify the trailing CRC before trusting any field.
-        if (bytes.size() < 12) {
-            out.error = "truncated snapshot";
-            return out;
-        }
-        uint32_t stored = 0;
-        std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
-        if (net::crc32(bytes.data(), bytes.size() - 4) != stored) {
-            out.error = "snapshot CRC mismatch";
-            return out;
-        }
-        limit = bytes.size() - 4;
-    }
-    Reader r(bytes, limit);
-    auto fail = [&](const std::string &msg) {
+    auto reject = [&](LoadError code, const std::string &msg) {
         out.ok = false;
-        out.error = r.error().empty() ? msg : r.error();
-        // DataSet is move-only now (it owns a shared_mutex), so the
+        out.code = code;
+        out.error = msg;
+        // DataSet is move-only (it owns a shared_mutex), so the
         // captured result must be moved out, not copied.
         return std::move(out);
+    };
+
+    // The magic's first seven bytes name the format, the eighth its
+    // rev; only the rev written by serialize() is read.
+    if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, 7) != 0)
+        return reject(LoadError::BadMagic,
+                      "not a DVP snapshot (bad magic)");
+    if (bytes[7] != kMagic[7])
+        return reject(LoadError::UnsupportedVersion,
+                      "unsupported snapshot revision '" +
+                          bytes.substr(0, 8) + "' (reads DVPSNAP2)");
+
+    // Verify the trailing CRC before trusting any field.
+    if (bytes.size() < 12)
+        return reject(LoadError::Corrupt, "truncated snapshot");
+    uint32_t stored = 0;
+    std::memcpy(&stored, bytes.data() + bytes.size() - 4, 4);
+    if (net::crc32(bytes.data(), bytes.size() - 4) != stored)
+        return reject(LoadError::Corrupt, "snapshot CRC mismatch");
+
+    Reader r(bytes, bytes.size() - 4);
+    auto fail = [&](const std::string &msg) {
+        return reject(LoadError::Corrupt,
+                      r.error().empty() ? msg : r.error());
     };
 
     uint64_t magic;
     uint32_t flags;
     if (!r.u64(magic) || !r.u32(flags))
         return fail("truncated header");
-    if (!rev2 && std::memcmp(&magic, kMagic, 8) != 0)
-        return fail("not a DVP snapshot (bad magic)");
     if (flags != 0)
         return fail("unsupported snapshot flags");
-
-    if (rev2) {
-        SnapshotMeta meta;
-        if (!r.u64(meta.epoch) || !r.u64(meta.baseDocs) ||
-            !r.u64(meta.walLsn))
-            return fail("truncated meta block");
-        out.meta = meta;
-    }
+    if (!r.u64(out.meta.epoch) || !r.u64(out.meta.baseDocs) ||
+        !r.u64(out.meta.walLsn))
+        return fail("truncated meta block");
 
     // Catalog.
     uint32_t nattrs;
@@ -335,7 +336,7 @@ deserialize(const std::string &bytes)
         }
         out.data.docs.push_back(std::move(doc));
     }
-    if (out.meta && out.meta->baseDocs > ndocs)
+    if (out.meta.baseDocs > ndocs)
         return fail("meta baseDocs exceeds document count");
 
     // Optional layout.
@@ -397,6 +398,7 @@ load(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         LoadResult r;
+        r.code = LoadError::Io;
         r.error = "cannot open '" + path + "'";
         return r;
     }

@@ -6,7 +6,8 @@
  * purposes: attribute ids, dictionary ids and document slots are all
  * preserved, so saved layouts remain valid and result sets match.
  *
- * Format (little-endian, versioned).  Rev 2, the only rev written:
+ * Format (little-endian, versioned).  Rev 2, the only rev written or
+ * read:
  *
  *   magic "DVPSNAP2" | u32 flags
  *   meta    : u64 epoch | u64 baseDocs | u64 walLsn
@@ -17,9 +18,8 @@
  *   layout  : u32 present | u32 p | p x { u32 k, k x u32 attr }
  *   u32 CRC-32 of every preceding byte
  *
- * Rev 1 ("DVPSNAP1") is the same without the meta block and trailing
- * CRC; deserialize still reads it (meta comes back empty).  The meta
- * block is what lets a durability checkpoint cut round-trip exactly:
+ * The meta block is what lets a durability checkpoint cut round-trip
+ * exactly:
  * baseDocs marks where the folded base ends and unfolded DeltaStore
  * rows begin inside docs, epoch is the layout epoch at the cut, and
  * walLsn is the last WAL record folded into the image.
@@ -43,7 +43,7 @@
 namespace dvp::persist
 {
 
-/** Durability metadata carried by rev-2 images (see file comment). */
+/** Durability metadata carried by every image (see file comment). */
 struct SnapshotMeta
 {
     uint64_t epoch = 0;    ///< layout epoch at the cut
@@ -51,28 +51,38 @@ struct SnapshotMeta
     uint64_t walLsn = 0;   ///< last WAL LSN folded into this image
 };
 
+/** Why a load failed. */
+enum class LoadError : uint8_t
+{
+    None,               ///< loaded
+    Io,                 ///< the file could not be opened
+    BadMagic,           ///< not a DVP snapshot at all
+    UnsupportedVersion, ///< a DVP snapshot of another rev ("DVPSNAP1")
+    Corrupt,            ///< CRC mismatch, truncation or bad structure
+};
+
 /** Outcome of a load. */
 struct LoadResult
 {
     bool ok = false;
+    LoadError code = LoadError::None;
     std::string error;
 
     engine::DataSet data;
     /** Saved layout, when the image contained one. */
     std::optional<layout::Layout> layout;
-    /** Durability meta; empty for rev-1 images. */
-    std::optional<SnapshotMeta> meta;
+    SnapshotMeta meta;
 };
 
 /**
  * Serialize @p data (and @p layout if non-null) into a byte string.
- * @p meta fills the rev-2 meta block; null writes an all-zero block.
+ * @p meta fills the meta block; null writes an all-zero block.
  */
 std::string serialize(const engine::DataSet &data,
                       const layout::Layout *layout = nullptr,
                       const SnapshotMeta *meta = nullptr);
 
-/** Parse an image produced by serialize() (rev 1 or rev 2). */
+/** Parse an image produced by serialize(). */
 LoadResult deserialize(const std::string &bytes);
 
 /**

@@ -11,7 +11,7 @@
  *    frames, answers cheap frames (HELLO, STATS, CLOSE) inline, and
  *    admits QUERY frames into a bounded queue.
  *  - A pool of worker threads pops admitted statements, executes them
- *    through AdaptiveEngine::execute (morsel-parallel, plan-cached,
+ *    through AdaptiveEngine::execute (morsel-parallel, bound per query,
  *    epoch-snapshotted — a background repartition can swap the layout
  *    underneath an open connection and in-flight queries keep their
  *    snapshot), serializes the result, and writes the response frame.

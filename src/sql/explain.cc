@@ -9,28 +9,9 @@ namespace dvp::sql
 {
 
 std::string
-explain(const engine::Database &db, const engine::Query &q,
-        const engine::PlanCache *cache)
+explain(const engine::Database &db, const engine::Query &q)
 {
-    char line[128];
-    if (cache == nullptr) {
-        std::snprintf(line, sizeof(line),
-                      "plan cache: none (ad-hoc bind)\n");
-        return line + engine::bindPlan(db, q).describe(db);
-    }
-
-    uint64_t uses = 0;
-    if (auto cached = cache->peek(db, q, &uses)) {
-        std::snprintf(line, sizeof(line),
-                      "plan cache: HIT (epoch %" PRIu64
-                      ", served %" PRIu64 "x)\n",
-                      cached->epoch, uses);
-        return line + cached->describe(db);
-    }
-
-    std::snprintf(line, sizeof(line),
-                  "plan cache: MISS (next execution cold-binds)\n");
-    return line + engine::bindPlan(db, q).describe(db);
+    return engine::bindPlan(db, q).describe(db);
 }
 
 namespace
@@ -56,9 +37,7 @@ explainAnalyze(const engine::Database &db, const engine::Query &q,
     std::string out;
 
     std::snprintf(line, sizeof(line),
-                  "plan: %s (epoch %" PRIu64 ", layout %016" PRIx64
-                  ")\n",
-                  engine::planSourceName(stats.planSource),
+                  "plan: epoch %" PRIu64 ", layout %016" PRIx64 "\n",
                   stats.planEpoch, stats.layoutFingerprint);
     out += line;
     out += engine::bindPlan(db, q).describe(db);

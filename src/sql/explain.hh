@@ -1,8 +1,7 @@
 /**
  * @file
- * EXPLAIN rendering: the bound physical plan for a parsed query, with
- * plan-cache provenance (was this template already cached, and how
- * often has the cached plan been served?).
+ * EXPLAIN rendering: the bound physical plan for a parsed query, and
+ * EXPLAIN ANALYZE's measured execution section.
  */
 
 #ifndef DVP_SQL_EXPLAIN_HH
@@ -11,7 +10,6 @@
 #include <string>
 
 #include "engine/database.hh"
-#include "engine/plan_cache.hh"
 #include "engine/query.hh"
 #include "engine/query_stats.hh"
 
@@ -19,23 +17,17 @@ namespace dvp::sql
 {
 
 /**
- * Human-readable EXPLAIN body for @p q against @p db: one provenance
- * line, then PhysicalPlan::describe().
- *
- * With @p cache the provenance reports HIT (a fresh cached plan exists;
- * it is reused, and its epoch and served count are shown) or MISS (the
- * next execution will cold-bind).  The probe uses PlanCache::peek(), so
- * EXPLAIN never perturbs the cache or its counters.  Without a cache
- * the plan is bound ad hoc.
+ * Human-readable EXPLAIN body for @p q against @p db: the plan an
+ * execution would bind, as PhysicalPlan::describe() renders it.
  */
-std::string explain(const engine::Database &db, const engine::Query &q,
-                    const engine::PlanCache *cache = nullptr);
+std::string explain(const engine::Database &db, const engine::Query &q);
 
 /**
  * EXPLAIN ANALYZE body: the bound plan (as explain()) followed by an
  * execution section rendered from @p stats — per-operator wall times,
  * rows scanned/matched/returned, zone-map block counts, the
- * compressed-eval path mix, morsel/thread counts, and plan provenance.
+ * compressed-eval path mix, morsel/thread counts, and the epoch and
+ * layout the query ran on.
  * @p rows is the digest-verified result the numbers describe; its row
  * count and checksum are printed so the section reconciles against the
  * result the client received.  The caller executes the query first

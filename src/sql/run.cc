@@ -126,9 +126,9 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
         res.kind = RunResult::Kind::Message;
         res.query = parsed.query;
         if (parsed.analyze) {
-            // Execute for real (workload stats and the plan cache see
-            // the query exactly as a plain SELECT would), then render
-            // the plan with the measured execution section.
+            // Execute for real (workload stats see the query exactly as
+            // a plain SELECT would), then render the plan with the
+            // measured execution section.
             Timer t;
             engine::ResultSet rows =
                 eng.execute(parsed.query, &res.stats);
@@ -145,7 +145,7 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
             return res;
         }
         res.message = std::string(head) +
-                      explain(*db, parsed.query, &eng.planCache());
+                      explain(*db, parsed.query);
         return res;
       }
 

@@ -81,8 +81,8 @@ struct RunResult
 /**
  * Parse and run one statement against @p eng.  Queries execute through
  * AdaptiveEngine::execute (feeding workload statistics and possibly
- * triggering a repartition); EXPLAIN renders the bound plan with
- * plan-cache provenance; LOAD dispatches to @p load; INSERT appends to
+ * triggering a repartition); EXPLAIN renders the bound plan (EXPLAIN
+ * ANALYZE also executes it); LOAD dispatches to @p load; INSERT appends to
  * the engine's delta store (AdaptiveEngine::ingestBatch) — the ack
  * message carries the appended count, the post-append document count,
  * and the base epoch.  @p allowInsert false maps INSERT to a ReadOnly

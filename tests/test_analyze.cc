@@ -3,7 +3,7 @@
  * Tests for request-scoped observability: QueryStats collection
  * (EXPLAIN ANALYZE), its exact reconciliation with the exported
  * Prometheus counters, work-counter determinism across thread counts
- * and plain/compressed storage, plan-source provenance, the SQL
+ * and plain/compressed storage, plan epoch/layout provenance, the SQL
  * EXPLAIN ANALYZE rendering, and the wire TLV extension round-trip.
  */
 
@@ -13,7 +13,6 @@
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "engine/plan.hh"
-#include "engine/plan_cache.hh"
 #include "engine/query_stats.hh"
 #include "net/wire.hh"
 #include "nobench/generator.hh"
@@ -155,13 +154,18 @@ TEST_F(AnalyzeWorld, SummaryHasFixedKeyOrder)
     QueryStats s;
     exec.run(templates()[0], &s);
     auto kv = s.summary();
-    ASSERT_GE(kv.size(), 5u);
-    EXPECT_EQ(kv[0].first, "exec_ns");
-    EXPECT_EQ(kv[1].first, "plan_ns");
     // Fixed order lets decoded summaries diff cleanly across requests.
     std::vector<std::string> keys;
     for (const auto &[k, v] : kv)
         keys.push_back(k);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "exec_ns", "plan_ns", "filter_ns", "retrieve_ns",
+                        "project_ns", "join_ns", "rows_scanned",
+                        "partition_touches", "blocks_scanned",
+                        "blocks_skipped", "matches", "rows_out",
+                        "delta_rows", "compressed_rle", "compressed_pack",
+                        "compressed_raw", "compressed_decompress",
+                        "morsels", "threads", "plan_epoch"}));
     auto at = [&](const std::string &k) {
         for (size_t i = 0; i < kv.size(); ++i)
             if (kv[i].first == k)
@@ -172,8 +176,7 @@ TEST_F(AnalyzeWorld, SummaryHasFixedKeyOrder)
     EXPECT_EQ(at("rows_out"), s.rowsOut);
     EXPECT_EQ(at("rows_scanned"), s.rowsScanned);
     EXPECT_EQ(at("threads"), s.threads);
-    EXPECT_EQ(at("plan_source"),
-              static_cast<uint64_t>(s.planSource));
+    EXPECT_EQ(at("plan_epoch"), s.planEpoch);
 }
 
 // ---------------------------------------------------------------------
@@ -239,35 +242,25 @@ TEST_F(AnalyzeWorld, CompressedDatabaseReportsCompressedEval)
 // Plan provenance.
 // ---------------------------------------------------------------------
 
-TEST_F(AnalyzeWorld, PlanSourceProvenance)
+TEST_F(AnalyzeWorld, PlanProvenance)
 {
     Query q = templates()[0];
 
-    // No cache attached: every run binds a private plan.
-    Executor adhoc(*plain);
+    // run() binds against the executor's database and says which.
+    Executor exec(*plain);
     QueryStats s;
-    adhoc.run(q, &s);
-    EXPECT_EQ(s.planSource, PlanSource::AdHoc);
-    EXPECT_STREQ(planSourceName(s.planSource), "adhoc");
+    exec.run(q, &s);
+    EXPECT_EQ(s.planEpoch, plain->epoch());
+    EXPECT_EQ(s.layoutFingerprint, plain->layoutFingerprint());
 
-    // With a cache: first execution misses, repeats hit.
-    PlanCache cache;
-    Executor cached(*plain);
-    cached.setPlanCache(&cache);
-    cached.run(q, &s);
-    EXPECT_EQ(s.planSource, PlanSource::CacheMiss);
-    EXPECT_STREQ(planSourceName(s.planSource), "miss");
-    cached.run(q, &s);
-    EXPECT_EQ(s.planSource, PlanSource::CacheHit);
-    EXPECT_STREQ(planSourceName(s.planSource), "hit");
-
-    // Caller-held plan: provenance says so, and plan time is zero by
-    // definition (binding happened outside the measured execution).
+    // Caller-held plan: plan time is zero by definition (binding
+    // happened outside the measured execution).
     PhysicalPlan plan = bindPlan(*plain, q);
-    cached.execute(plan, q, &s);
-    EXPECT_EQ(s.planSource, PlanSource::PreBound);
-    EXPECT_STREQ(planSourceName(s.planSource), "prebound");
-    EXPECT_EQ(s.planNs, 0u);
+    QueryStats pre;
+    exec.execute(plan, q, &pre);
+    EXPECT_EQ(pre.planNs, 0u);
+    EXPECT_EQ(pre.planEpoch, plain->epoch());
+    EXPECT_EQ(pre.layoutFingerprint, plain->layoutFingerprint());
 }
 
 // ---------------------------------------------------------------------
@@ -301,7 +294,7 @@ TEST(AnalyzeSql, ExplainAnalyzeRendersExecutionSection)
         eng, "EXPLAIN ANALYZE SELECT str1, num FROM nobench_main");
     ASSERT_TRUE(an.ok) << an.error;
     EXPECT_TRUE(an.hasStats);
-    EXPECT_NE(an.message.find("plan:"), std::string::npos);
+    EXPECT_NE(an.message.find("plan: epoch "), std::string::npos);
     EXPECT_NE(an.message.find("execution:"), std::string::npos);
     EXPECT_NE(an.message.find("rows out"), std::string::npos);
     EXPECT_NE(an.message.find("result:"), std::string::npos);

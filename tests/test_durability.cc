@@ -343,10 +343,9 @@ TEST(SnapshotMeta, RoundTripThroughV2Image)
     std::string bytes = persist::serialize(data, nullptr, &meta);
     persist::LoadResult r = persist::deserialize(bytes);
     ASSERT_TRUE(r.ok) << r.error;
-    ASSERT_TRUE(r.meta.has_value());
-    EXPECT_EQ(r.meta->epoch, 7u);
-    EXPECT_EQ(r.meta->baseDocs, 40u);
-    EXPECT_EQ(r.meta->walLsn, 123u);
+    EXPECT_EQ(r.meta.epoch, 7u);
+    EXPECT_EQ(r.meta.baseDocs, 40u);
+    EXPECT_EQ(r.meta.walLsn, 123u);
 
     // baseDocs beyond the document count is structural corruption.
     meta.baseDocs = 51;
@@ -649,16 +648,26 @@ TEST(Manager, CheckpointConcurrentWithQueriesAndIngest)
     params.adapt = false;
     DurableWorld w(300, params);
 
+    // QuerySet resolves names against the live catalog without the
+    // DataSet lock, so instantiate every reader's queries before the
+    // writer starts growing that catalog.
+    std::vector<std::vector<engine::Query>> work(3);
+    for (int t = 0; t < 3; ++t) {
+        nobench::QuerySet qs(w.data, w.cfg);
+        Rng rng(100 + t);
+        for (int i = 0; i < 64; ++i)
+            work[t].push_back(
+                qs.instantiate(static_cast<int>(rng.below(11)), rng));
+    }
+
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> executed{0};
     std::vector<std::thread> readers;
     for (int t = 0; t < 3; ++t)
         readers.emplace_back([&, t] {
-            nobench::QuerySet qs(w.data, w.cfg);
-            Rng rng(100 + t);
-            while (!stop.load(std::memory_order_relaxed)) {
-                int idx = static_cast<int>(rng.below(11));
-                w.engine->execute(qs.instantiate(idx, rng));
+            for (size_t i = 0; !stop.load(std::memory_order_relaxed);
+                 ++i) {
+                w.engine->execute(work[t][i % work[t].size()]);
                 executed.fetch_add(1, std::memory_order_relaxed);
             }
         });

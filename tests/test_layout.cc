@@ -128,7 +128,7 @@ TEST(LayoutDeath, EmptyPartitionRejected)
 }
 
 // ---------------------------------------------------------------------
-// fingerprint(): the plan cache's order-insensitive layout hash.
+// fingerprint(): the order-insensitive layout hash a plan records.
 // ---------------------------------------------------------------------
 
 /** Random partitioning of n attributes into at most k parts. */

@@ -135,6 +135,7 @@ TEST(Snapshot, LoadMissingFileFailsCleanly)
 {
     LoadResult r = load("/nonexistent/path/snapshot.bin");
     EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, LoadError::Io);
     EXPECT_NE(r.error.find("cannot open"), std::string::npos);
 }
 
@@ -142,7 +143,27 @@ TEST(Snapshot, RejectsBadMagic)
 {
     LoadResult r = deserialize("NOTASNAPxxxxxxxxxxxxxxxx");
     EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, LoadError::BadMagic);
     EXPECT_NE(r.error.find("magic"), std::string::npos);
+}
+
+TEST(Snapshot, RejectsRevisionOneImages)
+{
+    // A well-formed rev-1 image — rev 2 without the meta block and the
+    // trailing CRC — is refused by revision, not misparsed.
+    PersistWorld &w = world();
+    std::string rev2 = serialize(w.data, &w.layout);
+    std::string rev1 = "DVPSNAP1" + rev2.substr(8, 4) /*flags*/ +
+                       rev2.substr(12 + 24, rev2.size() - 12 - 24 - 4);
+    for (const std::string &bytes :
+         {rev1, std::string("DVPSNAP1"), rev1.substr(0, 12)}) {
+        LoadResult r = deserialize(bytes);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.code, LoadError::UnsupportedVersion);
+        EXPECT_NE(r.error.find("DVPSNAP1"), std::string::npos)
+            << r.error;
+        EXPECT_TRUE(r.data.docs.empty());
+    }
 }
 
 TEST(Snapshot, RejectsEveryTruncation)
@@ -155,6 +176,7 @@ TEST(Snapshot, RejectsEveryTruncation)
          len += std::max<size_t>(1, bytes.size() / 97)) {
         LoadResult r = deserialize(bytes.substr(0, len));
         EXPECT_FALSE(r.ok) << "accepted truncation at " << len;
+        EXPECT_NE(r.code, LoadError::None);
         EXPECT_FALSE(r.error.empty());
     }
 }
@@ -168,6 +190,7 @@ TEST(Snapshot, RejectsTrailingGarbage)
     bytes += "garbage";
     LoadResult r = deserialize(bytes);
     EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, LoadError::Corrupt);
     EXPECT_NE(r.error.find("CRC"), std::string::npos);
 }
 

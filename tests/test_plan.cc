@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests for the physical-plan layer (src/engine/plan*): binding,
- * template signatures, the epoch-keyed plan cache, executor integration
- * (cached execution bit-identical to cold across layouts and thread
- * counts, simulated counters unchanged), swap invalidation through the
- * adaptive engine, and EXPLAIN provenance.
+ * executor integration (repeated execution bit-identical across
+ * layouts and thread counts, prebound plans pinned to their database),
+ * and adaptive swaps.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +12,10 @@
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "engine/plan.hh"
-#include "engine/plan_cache.hh"
 #include "nobench/generator.hh"
 #include "nobench/queries.hh"
 #include "nobench/workload.hh"
-#include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "perf/memory_hierarchy.hh"
-#include "sql/explain.hh"
 
 namespace dvp::engine
 {
@@ -98,28 +93,7 @@ TEST_F(PlanWorld, BindStampsEveryPlan)
         EXPECT_EQ(p.epoch, fixed->epoch());
         EXPECT_EQ(p.layoutFingerprint, fixed->layoutFingerprint());
         EXPECT_EQ(p.catalogWidth, data->catalog.attrCount());
-        EXPECT_EQ(p.signature, planSignature(q));
-        EXPECT_EQ(p.key, templateKey(q));
     }
-}
-
-TEST_F(PlanWorld, SignatureIgnoresLiteralsButNotShape)
-{
-    Rng a(1), b(2);
-    // Two instances of one template (different keys/ranges) collide.
-    EXPECT_EQ(planSignature(qs->instantiate(nobench::kQ5, a)),
-              planSignature(qs->instantiate(nobench::kQ5, b)));
-    EXPECT_EQ(planSignature(qs->instantiate(nobench::kQ6, a)),
-              planSignature(qs->instantiate(nobench::kQ6, b)));
-    EXPECT_EQ(templateKey(qs->instantiate(nobench::kQ6, a)),
-              templateKey(qs->instantiate(nobench::kQ6, b)));
-
-    // Distinct templates never collide on the canonical key.
-    std::vector<Query> qv = templates();
-    for (size_t i = 0; i < qv.size(); ++i)
-        for (size_t j = i + 1; j < qv.size(); ++j)
-            EXPECT_NE(templateKey(qv[i]), templateKey(qv[j]))
-                << qv[i].name << " vs " << qv[j].name;
 }
 
 TEST_F(PlanWorld, BindResolvesAgainstTheLayout)
@@ -143,127 +117,30 @@ TEST_F(PlanWorld, BindResolvesAgainstTheLayout)
     EXPECT_EQ(bindPlan(*fixed, ghost).filter.mode, FilterMode::Empty);
 }
 
-// ---------------------------------------------------------------------
-// PlanCache.
-// ---------------------------------------------------------------------
-
-TEST_F(PlanWorld, CacheHitsAfterFirstExecution)
-{
-    PlanCache cache;
-    Executor exec(*fixed);
-    exec.setPlanCache(&cache);
-
-    Rng rng(4);
-    Query q = qs->instantiate(nobench::kQ6, rng);
-    exec.run(q);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-
-    exec.run(q);
-    EXPECT_EQ(cache.stats().hits, 1u);
-
-    // Another instance of the template reuses the same entry.
-    exec.run(qs->instantiate(nobench::kQ6, rng));
-    EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.size(), 1u);
-
-    // A different template cold-binds its own entry.
-    exec.run(qs->instantiate(nobench::kQ1, rng));
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST_F(PlanWorld, CacheInvalidatesOnEpochChange)
-{
-    Rng rng(5);
-    Query q = qs->instantiate(nobench::kQ6, rng);
-
-    PlanCache cache;
-    auto attrs = data->catalog.allAttrs();
-    Database old_db(*data, layout::Layout::fixedSize(attrs, 12),
-                    "fixedSize");
-    auto stale = cache.bind(old_db, q);
-    EXPECT_EQ(stale->epoch, old_db.epoch());
-    EXPECT_EQ(cache.stats().misses, 1u);
-
-    // A swap installs a new Database => new epoch: the entry is
-    // evicted and rebound on its next lookup.
-    Database new_db(*data, layout::Layout::fixedSize(attrs, 12),
-                    "fixedSize");
-    ASSERT_GT(new_db.epoch(), old_db.epoch());
-    auto fresh = cache.bind(new_db, q);
-    EXPECT_EQ(fresh->epoch, new_db.epoch());
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_NE(cache.peek(new_db, q), nullptr);
-
-    // A straggler query still running on the old snapshot binds
-    // privately and must NOT clobber the newer entry.
-    auto straggler = cache.bind(old_db, q);
-    EXPECT_EQ(straggler->epoch, old_db.epoch());
-    EXPECT_EQ(cache.bind(new_db, q)->epoch, new_db.epoch());
-    EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST_F(PlanWorld, CachedExecutionBitIdenticalAcrossLayoutsAndThreads)
+TEST_F(PlanWorld, RepeatedExecutionBitIdenticalAcrossLayoutsAndThreads)
 {
     std::vector<Query> qv = templates();
-    // Reference: cold serial execution on the row layout.
+    // Reference: serial execution on the row layout.
     std::vector<uint64_t> ref;
     {
-        Executor cold(*row);
+        Executor serial(*row);
         for (const Query &q : qv)
-            ref.push_back(cold.run(q).digest());
+            ref.push_back(serial.run(q).digest());
     }
 
     for (Database *db : {row, column, fixed}) {
         for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-            PlanCache cache;
             Executor exec(*db, threads);
             exec.setMorselRows(64);
-            exec.setPlanCache(&cache);
             for (size_t i = 0; i < qv.size(); ++i) {
                 SCOPED_TRACE(qv[i].name + " threads=" +
                              std::to_string(threads));
                 uint64_t first = exec.run(qv[i]).digest();
-                uint64_t cached = exec.run(qv[i]).digest();
+                uint64_t again = exec.run(qv[i]).digest();
                 EXPECT_EQ(first, ref[i]);
-                EXPECT_EQ(cached, ref[i]);
+                EXPECT_EQ(again, ref[i]);
             }
-            EXPECT_EQ(cache.stats().hits, qv.size());
-            EXPECT_EQ(cache.stats().misses, qv.size());
         }
-    }
-}
-
-TEST_F(PlanWorld, CachedExecutionLeavesSimCountersUnchanged)
-{
-    // The simulated access sequence (Figs. 6-7 counters) must be
-    // byte-for-byte identical whether the plan was cold-bound or
-    // served from the cache.
-    for (const Query &q : templates()) {
-        SCOPED_TRACE(q.name);
-        perf::MemoryHierarchy cold_mh;
-        Executor cold(*fixed);
-        cold.run(q, cold_mh);
-
-        PlanCache cache;
-        Executor cached(*fixed);
-        cached.setPlanCache(&cache);
-        perf::MemoryHierarchy warm_up;
-        cached.run(q, warm_up); // cold bind, populates the cache
-        perf::MemoryHierarchy cached_mh;
-        cached.run(q, cached_mh); // cache hit
-        ASSERT_GE(cache.stats().hits, 1u);
-
-        perf::PerfCounters a = cold_mh.counters();
-        perf::PerfCounters b = cached_mh.counters();
-        EXPECT_EQ(a.accesses, b.accesses);
-        EXPECT_EQ(a.l1Misses, b.l1Misses);
-        EXPECT_EQ(a.l2Misses, b.l2Misses);
-        EXPECT_EQ(a.l3Misses, b.l3Misses);
-        EXPECT_EQ(a.tlbMisses, b.tlbMisses);
     }
 }
 
@@ -280,7 +157,7 @@ TEST_F(PlanWorld, PreboundExecuteRejectsForeignPlans)
 // Adaptive swaps.
 // ---------------------------------------------------------------------
 
-TEST(PlanAdaptive, SwapInvalidatesPlansAndRetainsKnobs)
+TEST(PlanAdaptive, SwapRetainsKnobsAndStaysCorrect)
 {
     nobench::Config cfg;
     cfg.numDocs = 800;
@@ -302,11 +179,10 @@ TEST(PlanAdaptive, SwapInvalidatesPlansAndRetainsKnobs)
     EXPECT_EQ(eng.morselRows(), 64u);
 
     Rng rng(7);
-    // Steady phase: templates repeat, so the cache serves hits.
+    // Steady phase: the initial workload repeats, so no swap.
     for (int i = 0; i < 80; ++i)
         eng.execute(qs.instantiate(i % nobench::kNumTemplates, rng));
     EXPECT_EQ(eng.adaptation().repartitions, 0u);
-    EXPECT_GT(eng.planCache().stats().hits, 0u);
 
     uint64_t epoch_before = eng.snapshot()->epoch();
 #ifndef DVP_OBS_DISABLED
@@ -321,10 +197,6 @@ TEST(PlanAdaptive, SwapInvalidatesPlansAndRetainsKnobs)
     ASSERT_GE(eng.adaptation().repartitions, 1u);
     EXPECT_GT(eng.snapshot()->epoch(), epoch_before);
 
-    // Every steady-phase plan went stale at the swap; re-executions
-    // evicted them (lazily, template by template).
-    EXPECT_GT(eng.planCache().stats().invalidations, 0u);
-
     // The execution knobs survive the swap: still 2 worker lanes and
     // the configured morsel size, i.e. post-swap queries keep running
     // the parallel path.
@@ -337,70 +209,17 @@ TEST(PlanAdaptive, SwapInvalidatesPlansAndRetainsKnobs)
               morsels_before);
 #endif
 
-    // And post-swap cached results are still correct.
+    // And post-swap results are still correct and repeatable.
     Query probe = qs.instantiateShifted(nobench::kQ6, rng);
     ResultSet first = eng.execute(probe);
-    ResultSet cached = eng.execute(probe);
+    ResultSet again = eng.execute(probe);
     Database ref_db(data,
                     layout::Layout::rowBased(data.catalog.allAttrs()),
                     "row");
     Executor ref(ref_db);
     EXPECT_TRUE(first.equals(ref.run(probe)));
-    EXPECT_EQ(cached.digest(), first.digest());
+    EXPECT_EQ(again.digest(), first.digest());
 }
-
-// ---------------------------------------------------------------------
-// EXPLAIN provenance + exported counters.
-// ---------------------------------------------------------------------
-
-TEST_F(PlanWorld, ExplainReportsCacheProvenance)
-{
-    Rng rng(8);
-    Query q = qs->instantiate(nobench::kQ6, rng);
-
-    EXPECT_NE(sql::explain(*fixed, q).find("plan cache: none"),
-              std::string::npos);
-
-    PlanCache cache;
-    EXPECT_NE(sql::explain(*fixed, q, &cache).find("plan cache: MISS"),
-              std::string::npos);
-    // The probe itself must not perturb the cache.
-    EXPECT_EQ(cache.stats().misses, 0u);
-    EXPECT_EQ(cache.size(), 0u);
-
-    Executor exec(*fixed);
-    exec.setPlanCache(&cache);
-    exec.run(q);
-    std::string hit = sql::explain(*fixed, q, &cache);
-    EXPECT_NE(hit.find("plan cache: HIT"), std::string::npos);
-    EXPECT_NE(hit.find("FilterScan"), std::string::npos);
-}
-
-#ifndef DVP_OBS_DISABLED
-TEST_F(PlanWorld, PlanCacheCountersAreExported)
-{
-    // Touch all three paths so the counters exist...
-    PlanCache cache;
-    Rng rng(9);
-    Query q = qs->instantiate(nobench::kQ3, rng);
-    auto attrs = data->catalog.allAttrs();
-    Database a(*data, layout::Layout::rowBased(attrs), "row");
-    cache.bind(a, q); // miss
-    cache.bind(a, q); // hit
-    Database b(*data, layout::Layout::rowBased(attrs), "row");
-    cache.bind(b, q); // invalidation + rebind
-
-    // ...then check the Prometheus exposition carries them.
-    std::string text = obs::exportPrometheus(obs::Registry::global());
-    EXPECT_NE(text.find("dvp_plan_cache_hits_total"),
-              std::string::npos);
-    EXPECT_NE(text.find("dvp_plan_cache_misses_total"),
-              std::string::npos);
-    EXPECT_NE(text.find("dvp_plan_cache_invalidations_total"),
-              std::string::npos);
-    EXPECT_NE(text.find("dvp_plan_binds_total"), std::string::npos);
-}
-#endif
 
 } // namespace
 } // namespace dvp::engine
