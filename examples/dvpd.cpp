@@ -24,7 +24,9 @@
  *     --threads N           executor lanes per query (default 1)
  *     --load-threads N      parser lanes for LOAD DATA (default 4)
  *     --http-port P         serve GET /metrics and /healthz over HTTP
- *                           (0 = ephemeral; omit to disable)
+ *                           on --host, from the same event loop as
+ *                           the wire port (0 = ephemeral; omit to
+ *                           disable)
  *     --http-port-file FILE write the bound HTTP port to FILE
  *     --slow-ms N           slow-query threshold in ms (with
  *                           --slow-query-log; default 0 logs every
@@ -63,7 +65,6 @@
 #include "engine/load.hh"
 #include "nobench/generator.hh"
 #include "obs/export.hh"
-#include "server/http.hh"
 #include "server/server.hh"
 #include "util/random.hh"
 #include "util/timer.hh"
@@ -106,8 +107,6 @@ main(int argc, char **argv)
     cfg.port = 7437;
     size_t exec_threads = 1;
     std::string port_file;
-    bool http_enabled = false;
-    server::HttpConfig http_cfg;
     std::string http_port_file;
     bool dump_audit = false;
     durability::Config dur_cfg;
@@ -151,11 +150,10 @@ main(int argc, char **argv)
         else if (a == "--load-threads")
             cfg.loadThreads =
                 std::strtoull(next("--load-threads"), nullptr, 10);
-        else if (a == "--http-port") {
-            http_enabled = true;
-            http_cfg.port = static_cast<uint16_t>(
+        else if (a == "--http-port")
+            cfg.httpPort = static_cast<uint16_t>(
                 std::strtoul(next("--http-port"), nullptr, 10));
-        } else if (a == "--http-port-file")
+        else if (a == "--http-port-file")
             http_port_file = next("--http-port-file");
         else if (a == "--slow-ms")
             cfg.slowMs = static_cast<uint32_t>(
@@ -322,20 +320,13 @@ main(int argc, char **argv)
         pf << server.port() << "\n";
     }
 
-    server::HttpServer http(http_cfg);
-    if (http_enabled) {
-        err = http.start();
-        if (!err.empty()) {
-            std::fprintf(stderr, "http start failed: %s\n",
-                         err.c_str());
-            return 1;
-        }
+    if (cfg.httpPort) {
         if (!http_port_file.empty()) {
             std::ofstream pf(http_port_file);
-            pf << http.port() << "\n";
+            pf << server.httpPort() << "\n";
         }
         std::printf("dvpd: metrics on http://%s:%u/metrics\n",
-                    http_cfg.host.c_str(), unsigned(http.port()));
+                    cfg.host.c_str(), unsigned(server.httpPort()));
     }
     std::printf("dvpd: serving %zu docs on %s:%u — SIGINT/SIGTERM to "
                 "drain\n",
@@ -347,8 +338,6 @@ main(int argc, char **argv)
     while (!server.drained())
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     server.stop();
-
-    http.stop();
 
     // Let an in-flight background checkpoint finish before the engine
     // (the cut provider's target) is torn down.

@@ -19,6 +19,13 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
+echo "=== benchmark selftest ==="
+# The benchmark harness builds dvpd and pbtool against this tree (a
+# Release build under .bench_build) and runs its own unit tests plus
+# `pbtool selftest`, so a tree API change that breaks the benchmark
+# fails here, not at the next benchmark run.
+python3 perfbench/test_perfbench.py
+
 echo "=== observability smoke ==="
 # A tiny bench run must produce valid NDJSON, a parseable Prometheus
 # dump, and a span trace that ends with a summary record.

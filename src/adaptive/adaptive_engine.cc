@@ -166,6 +166,7 @@ AdaptiveEngine::deltaRows() const
 void
 AdaptiveEngine::quiesce()
 {
+    std::lock_guard<std::mutex> lock(worker_mu);
     if (worker.joinable()) {
         DVP_TRACE_SPAN(quiesce_span, "quiesce", "join repartition");
         worker.join();
@@ -342,7 +343,11 @@ AdaptiveEngine::maybeRepartition(const std::string &trigger)
         repartitionNow(std::move(workload), trigger);
         return;
     }
-    quiesce(); // reap the previous worker, if any
+    std::lock_guard<std::mutex> lock(worker_mu);
+    if (worker.joinable()) { // reap the previous worker
+        DVP_TRACE_SPAN(quiesce_span, "quiesce", "join repartition");
+        worker.join();
+    }
     worker = std::thread(
         [this, w = std::move(workload), t = trigger]() mutable {
             repartitionNow(std::move(w), std::move(t));

@@ -339,6 +339,12 @@ class AdaptiveEngine
     std::deque<AuditRecord> audit_ring;
     uint64_t audit_seq = 0;
 
+    /**
+     * Guards the worker handle: quiesce() may run on any thread while
+     * an executing query's maybeRepartition() replaces the handle.
+     * The repartition thread itself never takes it.
+     */
+    std::mutex worker_mu;
     std::thread worker;
     std::atomic<bool> repartitioning{false};
 };

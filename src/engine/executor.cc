@@ -543,19 +543,13 @@ class Exec
     void
     countRows(uint64_t n)
     {
-#ifndef DVP_OBS_DISABLED
         obs_rows_scanned += n;
-#else
-        (void)n;
-#endif
     }
 
     void
     countTouch()
     {
-#ifndef DVP_OBS_DISABLED
         ++obs_partition_touches;
-#endif
     }
 
     bool
@@ -567,22 +561,16 @@ class Exec
     void
     countDelta()
     {
-#ifndef DVP_OBS_DISABLED
         ++obs_delta_rows;
-#endif
     }
 
     void
     countBlock(bool skipped)
     {
-#ifndef DVP_OBS_DISABLED
         if (skipped)
             ++obs_blocks_skipped;
         else
             ++obs_blocks_scanned;
-#else
-        (void)skipped;
-#endif
     }
 
     /**
@@ -933,11 +921,9 @@ class Exec
     std::vector<Part>
     scatter(size_t n_morsels, Kernel kernel)
     {
-#ifndef DVP_OBS_DISABLED
         obs_morsels += n_morsels;
         char detail[obs::SpanRecord::kDetailLen];
         std::snprintf(detail, sizeof(detail), "%zu morsels", n_morsels);
-#endif
         DVP_TRACE_SPAN(scatter_span, "scatter", detail);
         std::vector<Exec> lanes = forkLanes();
         std::vector<Part> parts(n_morsels);
@@ -1356,7 +1342,6 @@ class Exec
     }
 };
 
-#ifndef DVP_OBS_DISABLED
 /**
  * One registry flush per query: the runtime-labelled names below cost a
  * mutex + map lookup each, which is noise next to a query's execution
@@ -1378,7 +1363,6 @@ flushQueryMetrics(const Database &db, const Query &q, uint64_t ns,
     reg.counter("dvp_blocks_scanned_total").add(exec.obs_blocks_scanned);
     reg.counter("dvp_blocks_skipped_total").add(exec.obs_blocks_skipped);
 }
-#endif
 
 /** Copy one execution's merged lane counters into @p s. */
 void
@@ -1417,9 +1401,7 @@ Executor::bound(const Query &q)
 ResultSet
 Executor::run(const Query &q, QueryStats *stats)
 {
-#ifndef DVP_OBS_DISABLED
     DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
-#endif
     auto t0 = std::chrono::steady_clock::now();
     const PhysicalPlan plan = bound(q);
     auto t1 = std::chrono::steady_clock::now();
@@ -1431,9 +1413,7 @@ Executor::run(const Query &q, QueryStats *stats)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-#ifndef DVP_OBS_DISABLED
     flushQueryMetrics(*db, q, ns, exec);
-#endif
     if (stats != nullptr) {
         fillStats(*stats, exec, rs);
         stats->execNs = ns;
@@ -1472,9 +1452,7 @@ Executor::execute(const PhysicalPlan &plan, const Query &q,
 {
     invariant(plan.epoch == db->epoch(),
               "plan bound against a different database");
-#ifndef DVP_OBS_DISABLED
     DVP_TRACE_SPAN(query_span, "query", q.name.c_str());
-#endif
     auto t0 = std::chrono::steady_clock::now();
     Exec<NullTracer> exec(*db, plan, NullTracer{}, threads_,
                           morsel_rows, vectorized_, delta_,
@@ -1484,9 +1462,7 @@ Executor::execute(const PhysicalPlan &plan, const Query &q,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-#ifndef DVP_OBS_DISABLED
     flushQueryMetrics(*db, q, ns, exec);
-#endif
     if (stats != nullptr) {
         fillStats(*stats, exec, rs);
         stats->execNs = ns;

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,7 @@
 
 #include "json/parser.hh"
 #include "net/socket.hh"
+#include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sql/run.hh"
@@ -75,6 +77,46 @@ errorFrame(net::ErrorCode code, const std::string &message)
                             net::encodeError(net::ErrorBody{code, message}));
 }
 
+/** An HTTP request whose headers run past this is dropped unanswered. */
+constexpr size_t kMaxHttpRequestBytes = 8192;
+
+std::string
+httpResponse(int code, const char *status, const std::string &type,
+             const std::string &body)
+{
+    std::string head = "HTTP/1.1 " + std::to_string(code) + " " +
+                       status + "\r\n";
+    head += "Content-Type: " + type + "\r\n";
+    head += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+    head += "Connection: close\r\n\r\n";
+    return head + body;
+}
+
+/** The response to one HTTP request line, "GET <path> HTTP/1.x". */
+std::string
+httpRespond(const std::string &request_line)
+{
+    size_t sp1 = request_line.find(' ');
+    size_t sp2 =
+        sp1 == std::string::npos ? sp1 : request_line.find(' ', sp1 + 1);
+    if (sp1 == std::string::npos || sp2 == std::string::npos)
+        return httpResponse(400, "Bad Request", "text/plain",
+                            "bad request\n");
+    std::string method = request_line.substr(0, sp1);
+    std::string path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+    if (method != "GET")
+        return httpResponse(405, "Method Not Allowed", "text/plain",
+                            "only GET is supported\n");
+    if (path == "/metrics")
+        return httpResponse(200, "OK",
+                            "text/plain; version=0.0.4; charset=utf-8",
+                            obs::exportPrometheus(obs::Registry::global()));
+    if (path == "/healthz")
+        return httpResponse(200, "OK", "text/plain", "ok\n");
+    return httpResponse(404, "Not Found", "text/plain",
+                        "unknown path; try /metrics or /healthz\n");
+}
+
 /** The process-wide signal target (see installSignalHandlers). */
 std::atomic<Server *> g_signal_target{nullptr};
 
@@ -91,11 +133,15 @@ onStopSignal(int)
 /** Per-connection state.  The event loop owns the read side; any
  * thread may write a frame under write_mu.  The fd closes when the
  * last shared_ptr drops, so a worker finishing late can never write
- * into a recycled descriptor. */
+ * into a recycled descriptor.  An HTTP session (http = true) buffers
+ * its request in `request` and is answered and closed by the loop;
+ * no worker ever holds one. */
 struct Server::Session
 {
     int fd = -1;
     uint64_t id = 0;
+    bool http = false;
+    std::string request; ///< HTTP request bytes until the blank line
     net::FrameAssembler in;
     bool helloDone = false;
 
@@ -141,8 +187,6 @@ Server::Server(adaptive::AdaptiveEngine &engine, Config cfg)
         this->cfg.workers = 1;
     if (this->cfg.maxInflight == 0)
         this->cfg.maxInflight = 1;
-    if (this->cfg.tickMs <= 0)
-        this->cfg.tickMs = 50;
 }
 
 Server::~Server()
@@ -168,6 +212,15 @@ Server::start()
 
     std::string err;
     listen_fd = net::listenTcp(cfg.host, cfg.port, &port_, &err);
+    if (listen_fd >= 0 && cfg.httpPort) {
+        http_fd = net::listenTcp(cfg.host, *cfg.httpPort, &http_port_,
+                                 &err);
+        if (http_fd < 0) {
+            err = "http: " + err;
+            net::closeFd(listen_fd);
+            listen_fd = -1;
+        }
+    }
     if (listen_fd < 0) {
         net::closeFd(wake_rd);
         net::closeFd(wake_wr);
@@ -175,6 +228,8 @@ Server::start()
         return err;
     }
     setNonBlocking(listen_fd);
+    if (http_fd >= 0)
+        setNonBlocking(http_fd);
 
     stop_requested_.store(false);
     draining_.store(false);
@@ -189,6 +244,9 @@ Server::start()
     inform("%s: listening on %s:%u (%zu workers, max-inflight %zu)",
            cfg.name.c_str(), cfg.host.c_str(), unsigned(port_),
            cfg.workers, cfg.maxInflight);
+    if (http_fd >= 0)
+        inform("%s: serving /metrics and /healthz on %s:%u",
+               cfg.name.c_str(), cfg.host.c_str(), unsigned(http_port_));
     return "";
 }
 
@@ -229,8 +287,6 @@ Server::stop()
             t.join();
     worker_threads.clear();
 
-    net::closeFd(listen_fd);
-    listen_fd = -1;
     net::closeFd(wake_rd);
     net::closeFd(wake_wr);
     wake_rd = wake_wr = -1;
@@ -268,6 +324,21 @@ Server::installSignalHandlers(Server *s)
 // Event loop.
 // ---------------------------------------------------------------------
 
+int
+Server::pollTimeoutMs(int64_t now_ms) const
+{
+    // No tick: every other event arrives on a socket or the wake pipe,
+    // so only the earliest idle deadline bounds the wait.
+    if (cfg.idleTimeoutMs <= 0 || sessions.empty())
+        return -1;
+    int64_t oldest = INT64_MAX;
+    for (const auto &[fd, s] : sessions)
+        oldest = std::min(oldest, s->lastActivityMs);
+    // reapIdle closes a session once strictly past its timeout.
+    int64_t wait = oldest + cfg.idleTimeoutMs + 1 - now_ms;
+    return static_cast<int>(std::clamp<int64_t>(wait, 0, INT_MAX));
+}
+
 void
 Server::eventLoop()
 {
@@ -275,9 +346,10 @@ Server::eventLoop()
     while (true) {
         if (stop_requested_.load(std::memory_order_acquire) &&
             !draining_.load(std::memory_order_relaxed)) {
-            // Begin the drain: no new connections, no new admissions;
-            // everything already admitted runs to completion.
-            draining_.store(true, std::memory_order_release);
+            // Begin the drain: no new wire connections, no new
+            // admissions; everything already admitted runs to
+            // completion.  The HTTP listener stays open.
+            draining_.store(true, std::memory_order_seq_cst);
             net::closeFd(listen_fd);
             listen_fd = -1;
             debug("server: draining (%zu inflight)", inflight());
@@ -288,8 +360,11 @@ Server::eventLoop()
                 std::lock_guard<std::mutex> lock(queue_mu);
                 queue_empty = queue.empty();
             }
+            // seq_cst pairs with the worker's fetch_sub + draining_
+            // load: at least one side sees the other's write, so
+            // either this reads 0 or the worker wakes the loop.
             if (queue_empty &&
-                inflight_.load(std::memory_order_acquire) == 0)
+                inflight_.load(std::memory_order_seq_cst) == 0)
                 break; // drain complete
         }
 
@@ -297,10 +372,12 @@ Server::eventLoop()
         pfds.push_back({wake_rd, POLLIN, 0});
         if (listen_fd >= 0)
             pfds.push_back({listen_fd, POLLIN, 0});
+        if (http_fd >= 0)
+            pfds.push_back({http_fd, POLLIN, 0});
         for (auto &[fd, s] : sessions)
             pfds.push_back({fd, POLLIN, 0});
 
-        int rc = ::poll(pfds.data(), pfds.size(), cfg.tickMs);
+        int rc = ::poll(pfds.data(), pfds.size(), pollTimeoutMs(nowMs()));
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
@@ -314,8 +391,8 @@ Server::eventLoop()
                 char buf[64];
                 while (::read(wake_rd, buf, sizeof(buf)) > 0) {
                 }
-            } else if (p.fd == listen_fd) {
-                acceptOne();
+            } else if (p.fd == listen_fd || p.fd == http_fd) {
+                acceptOne(p.fd);
             } else {
                 auto it = sessions.find(p.fd);
                 if (it == sessions.end())
@@ -339,30 +416,42 @@ Server::eventLoop()
         ::shutdown(fd, SHUT_RDWR);
     }
     sessions.clear();
+    http_sessions = 0;
+    net::closeFd(listen_fd);
+    listen_fd = -1;
+    net::closeFd(http_fd);
+    http_fd = -1;
     DVP_GAUGE_SET("dvp_server_sessions_active", 0);
     loop_done_.store(true, std::memory_order_release);
 }
 
 void
-Server::acceptOne()
+Server::acceptOne(int lfd)
 {
+    const bool http = lfd == http_fd;
     while (true) {
-        int fd = ::accept(listen_fd, nullptr, nullptr);
+        int fd = ::accept(lfd, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
             return; // EAGAIN: accepted everything pending
         }
-        DVP_TRACE_SPAN(accept_span, "accept", nullptr);
         setNonBlocking(fd);
         auto s = std::make_shared<Session>();
         s->fd = fd;
         s->id = next_session_id++;
+        s->http = http;
         s->lastActivityMs = nowMs();
         sessions.emplace(fd, std::move(s));
+        if (http) {
+            // Scrapes stay out of the wire counters.
+            ++http_sessions;
+            continue;
+        }
+        DVP_TRACE_SPAN(accept_span, "accept", nullptr);
         DVP_COUNTER_INC("dvp_server_connections_total");
         DVP_GAUGE_SET("dvp_server_sessions_active",
-                      static_cast<int64_t>(sessions.size()));
+                      static_cast<int64_t>(wireSessions()));
         {
             std::lock_guard<std::mutex> lock(stats_mu);
             ++stats_.connections;
@@ -377,8 +466,11 @@ Server::closeSession(const std::shared_ptr<Session> &s)
         return; // already closed this iteration
     s->dead.store(true, std::memory_order_relaxed);
     ::shutdown(s->fd, SHUT_RDWR);
-    DVP_GAUGE_SET("dvp_server_sessions_active",
-                  static_cast<int64_t>(sessions.size()));
+    if (s->http)
+        --http_sessions;
+    else
+        DVP_GAUGE_SET("dvp_server_sessions_active",
+                      static_cast<int64_t>(wireSessions()));
 }
 
 void
@@ -405,8 +497,12 @@ Server::serviceSession(const std::shared_ptr<Session> &s)
         long got = net::recvSome(s->fd, buf, sizeof(buf));
         if (got > 0) {
             s->lastActivityMs = nowMs();
-            s->in.feed(buf, static_cast<size_t>(got));
-            if (got < static_cast<long>(sizeof(buf)))
+            if (s->http)
+                s->request.append(buf, static_cast<size_t>(got));
+            else
+                s->in.feed(buf, static_cast<size_t>(got));
+            if (got < static_cast<long>(sizeof(buf)) ||
+                s->request.size() > kMaxHttpRequestBytes)
                 break;
             continue;
         }
@@ -417,6 +513,10 @@ Server::serviceSession(const std::shared_ptr<Session> &s)
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             break;
         closeSession(s);
+        return;
+    }
+    if (s->http) {
+        serviceHttp(s, eof);
         return;
     }
 
@@ -436,6 +536,26 @@ Server::serviceSession(const std::shared_ptr<Session> &s)
     }
     if (eof || s->dead.load(std::memory_order_relaxed))
         closeSession(s);
+}
+
+void
+Server::serviceHttp(const std::shared_ptr<Session> &s, bool eof)
+{
+    // The headers are complete at the blank line; until then keep
+    // buffering.  A request past the cap, or EOF before the blank
+    // line, closes with no response.  Every answer closes the
+    // connection (Connection: close), which is how a scraper
+    // connects anyway.
+    if (s->request.size() <= kMaxHttpRequestBytes) {
+        if (s->request.find("\r\n\r\n") != std::string::npos) {
+            std::string response =
+                httpRespond(s->request.substr(0, s->request.find("\r\n")));
+            net::sendAll(s->fd, response.data(), response.size());
+        } else if (!eof) {
+            return;
+        }
+    }
+    closeSession(s);
 }
 
 void
@@ -558,7 +678,7 @@ Server::buildStats()
     body.entries.emplace_back("rejects_total", snap.rejects);
     body.entries.emplace_back("protocol_errors_total",
                               snap.protocolErrors);
-    body.entries.emplace_back("sessions_active", sessions.size());
+    body.entries.emplace_back("sessions_active", wireSessions());
     body.entries.emplace_back("inflight", inflight());
     body.entries.emplace_back("result_rows_total", snap.resultRows);
     body.entries.emplace_back("result_bytes_total", snap.resultBytes);
@@ -985,9 +1105,12 @@ Server::executeTask(Task &task)
                      result_bytes, did_load ? &load_stats : nullptr);
     }
 
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (draining_.load(std::memory_order_relaxed))
-        wake(); // let the event loop notice drain completion promptly
+    // seq_cst, paired with the loop's draining_ store + inflight_
+    // load: with weaker orders both sides could read the old value, and
+    // the loop, which polls with no tick, would wait forever.
+    inflight_.fetch_sub(1, std::memory_order_seq_cst);
+    if (draining_.load(std::memory_order_seq_cst))
+        wake(); // the event loop finishes the drain
     task.session.reset();
 }
 

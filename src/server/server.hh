@@ -6,10 +6,15 @@
  *
  * Threading model (DESIGN.md §13):
  *
- *  - One event-loop thread owns the listening socket, the wake pipe,
- *    and every session's read side.  It accepts connections, assembles
- *    frames, answers cheap frames (HELLO, STATS, CLOSE) inline, and
- *    admits QUERY frames into a bounded queue.
+ *  - One event-loop thread owns both listening sockets (the wire port
+ *    and, when Config::httpPort is set, the HTTP scrape port), the
+ *    wake pipe, and every session's read side.  It accepts
+ *    connections, assembles frames, answers cheap frames (HELLO,
+ *    STATS, CLOSE) and HTTP scrapes (GET /metrics, GET /healthz)
+ *    inline, and admits QUERY frames into a bounded queue.  It has no
+ *    polling tick: every event arrives on a socket or the wake pipe,
+ *    and poll() sleeps until the earliest idle deadline (forever when
+ *    Config::idleTimeoutMs is 0).
  *  - A pool of worker threads pops admitted statements, executes them
  *    through AdaptiveEngine::execute (morsel-parallel, bound per query,
  *    epoch-snapshotted — a background repartition can swap the layout
@@ -27,14 +32,16 @@
  * DATA is exclusive.
  *
  * Graceful drain: requestStop() (directly, via stop(), or from the
- * SIGINT/SIGTERM handlers) stops accepting, answers new QUERY frames
- * with SHUTTING_DOWN, lets every admitted statement finish and deliver
- * its response, then shuts the loop and workers down.  stop() blocks
- * until the drain completes.
+ * SIGINT/SIGTERM handlers) stops accepting wire connections, answers
+ * new QUERY frames with SHUTTING_DOWN, lets every admitted statement
+ * finish and deliver its response, then shuts the loop and workers
+ * down.  The HTTP listener keeps answering scrapes through the drain
+ * and closes when the loop exits.  stop() blocks until the drain
+ * completes.
  *
- * Sessions are also reaped when idle longer than Config::idleTimeoutMs
- * (covers stalled half-written frames: any received byte counts as
- * activity).
+ * Sessions of both kinds are also reaped when idle longer than
+ * Config::idleTimeoutMs (covers stalled half-written frames and HTTP
+ * requests: any received byte counts as activity).
  */
 
 #ifndef DVP_SERVER_SERVER_HH
@@ -78,8 +85,13 @@ struct Config
     /** Close sessions idle longer than this; 0 disables. */
     int idleTimeoutMs = 0;
 
-    /** poll() tick, which bounds timeout/drain detection latency. */
-    int tickMs = 50;
+    /**
+     * HTTP scrape port (GET /metrics, GET /healthz), bound on host —
+     * the same interface as the wire port, which already serves the
+     * same counters over STATS.  Unset = no HTTP listener; 0 =
+     * ephemeral (read back via httpPort()).
+     */
+    std::optional<uint16_t> httpPort;
 
     /**
      * Serve LOAD DATA from server-local JSON-lines paths.  Off by
@@ -160,6 +172,9 @@ class Server
     /** Bound port (after start(); useful with Config::port = 0). */
     uint16_t port() const { return port_; }
 
+    /** Bound HTTP port after start(); 0 when Config::httpPort is unset. */
+    uint16_t httpPort() const { return http_port_; }
+
     /** True between a successful start() and the end of stop(). */
     bool running() const
     {
@@ -223,12 +238,19 @@ class Server
     void workerLoop();
     void wake();
 
-    void acceptOne();
+    int pollTimeoutMs(int64_t now_ms) const;
+    void acceptOne(int lfd);
     void serviceSession(const std::shared_ptr<Session> &s);
     void handleFrame(const std::shared_ptr<Session> &s,
                      const net::Frame &f);
+    void serviceHttp(const std::shared_ptr<Session> &s, bool eof);
     void closeSession(const std::shared_ptr<Session> &s);
     void reapIdle(int64_t now_ms);
+    size_t
+    wireSessions() const
+    {
+        return sessions.size() - http_sessions;
+    }
 
     void executeTask(Task &task);
     net::StatsBody buildStats();
@@ -242,6 +264,8 @@ class Server
 
     int listen_fd = -1;
     uint16_t port_ = 0;
+    int http_fd = -1; ///< HTTP listener; -1 when off or after the loop
+    uint16_t http_port_ = 0;
     int wake_rd = -1, wake_wr = -1;
 
     std::thread loop_thread;
@@ -249,6 +273,7 @@ class Server
 
     /** Sessions keyed by fd; touched only by the event loop. */
     std::unordered_map<int, std::shared_ptr<Session>> sessions;
+    size_t http_sessions = 0; ///< of which HTTP connections
     uint64_t next_session_id = 1;
 
     std::mutex queue_mu;

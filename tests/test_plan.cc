@@ -185,10 +185,8 @@ TEST(PlanAdaptive, SwapRetainsKnobsAndStaysCorrect)
     EXPECT_EQ(eng.adaptation().repartitions, 0u);
 
     uint64_t epoch_before = eng.snapshot()->epoch();
-#ifndef DVP_OBS_DISABLED
     uint64_t morsels_before =
         obs::Registry::global().counter("dvp_morsels_total").value();
-#endif
 
     // Shifted phase: the synchronous repartition swaps the database.
     for (int i = 0; i < 120; ++i)
@@ -202,12 +200,10 @@ TEST(PlanAdaptive, SwapRetainsKnobsAndStaysCorrect)
     // the parallel path.
     EXPECT_EQ(eng.threads(), 2u);
     EXPECT_EQ(eng.morselRows(), 64u);
-#ifndef DVP_OBS_DISABLED
     EXPECT_GT(obs::Registry::global()
                   .counter("dvp_morsels_total")
                   .value(),
               morsels_before);
-#endif
 
     // And post-swap results are still correct and repeatable.
     Query probe = qs.instantiateShifted(nobench::kQ6, rng);

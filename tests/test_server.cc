@@ -6,7 +6,8 @@
  *
  * The protocol tests exercise encode/decode round-trips and every
  * framing violation class (truncation, garbage, oversized lengths,
- * CRC corruption).  The server tests run a real server on an ephemeral
+ * CRC corruption), and fuzz every decoder with seeded mutations of
+ * valid frames.  The server tests run a real server on an ephemeral
  * loopback port and prove the acceptance criteria: concurrent clients
  * observe digests byte-identical to in-process execution — including
  * while an adaptive repartition swaps the layout underneath the open
@@ -19,11 +20,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,10 +40,10 @@
 #include "nobench/workload.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "server/http.hh"
 #include "server/server.hh"
 #include "sql/run.hh"
 #include "storage/dictionary.hh"
+#include "util/random.hh"
 
 namespace dvp
 {
@@ -261,6 +264,328 @@ TEST(Wire, DecodersRejectShortAndTrailingBytes)
     std::string enc = encodeResult(r);
     net::ResultBody out;
     EXPECT_FALSE(decodeResult(enc.substr(0, enc.size() / 2), out));
+}
+
+// ---------------------------------------------------------------------
+// Wire fuzz: seeded mutations of valid frames.  Every input must give
+// a typed error (a decoder returning false, an assembler latching
+// error()) or an exact round trip; the ASan+UBSan run of this suite
+// turns a crash or an over-read into a failure.
+// ---------------------------------------------------------------------
+
+/** Random valid frame bodies, and byte-level mutations of encodings. */
+struct WireFuzz
+{
+    Rng rng;
+
+    explicit WireFuzz(uint64_t seed) : rng(seed) {}
+
+    std::string
+    text()
+    {
+        static const char kChars[] = "abcSELECT *=',_0123456789\0\xff";
+        std::string s(rng.below(24), ' ');
+        for (char &c : s)
+            c = kChars[rng.below(sizeof(kChars) - 1)];
+        return s;
+    }
+
+    uint32_t
+    level()
+    {
+        return rng.chance(0.5) ? net::kFeatureTrace : net::kFeatureBase;
+    }
+
+    net::HelloBody
+    hello()
+    {
+        return {static_cast<uint32_t>(rng.below(4)), text()};
+    }
+
+    net::HelloOkBody
+    helloOk()
+    {
+        return {static_cast<uint32_t>(rng.below(4)), text(), rng.next()};
+    }
+
+    net::QueryBody
+    query()
+    {
+        net::QueryBody q;
+        q.sql = text();
+        q.hasTraceId = rng.chance(0.5);
+        q.traceId = q.hasTraceId ? rng.next() : 0;
+        return q;
+    }
+
+    net::ErrorBody
+    error()
+    {
+        return {static_cast<net::ErrorCode>(rng.below(10)), text()};
+    }
+
+    net::ResultBody
+    result()
+    {
+        net::ResultBody r;
+        if (rng.chance(0.2)) {
+            r.kind = net::ResultBody::Kind::Message;
+            r.message = text();
+        }
+        size_t width = rng.below(4);
+        for (size_t c = 0; c < width; ++c)
+            r.columns.push_back(text());
+        for (size_t i = rng.below(6); i > 0; --i) {
+            r.oids.push_back(static_cast<int64_t>(rng.next()));
+            std::vector<net::Cell> row(width);
+            for (net::Cell &cell : row) {
+                cell.kind = static_cast<net::Cell::Kind>(rng.below(3));
+                if (cell.kind == net::Cell::Kind::Int)
+                    cell.i = static_cast<int64_t>(rng.next());
+                else if (cell.kind == net::Cell::Kind::Str)
+                    cell.s = text();
+            }
+            r.rows.push_back(std::move(row));
+        }
+        r.digest = rng.next();
+        r.checksum = rng.next();
+        r.execNs = rng.next();
+        r.hasTraceId = rng.chance(0.5);
+        r.traceId = r.hasTraceId ? rng.next() : 0;
+        for (size_t i = rng.below(3); i > 0; --i)
+            r.opStats.emplace_back(text(), rng.next());
+        return r;
+    }
+
+    net::StatsBody
+    stats()
+    {
+        net::StatsBody st;
+        for (size_t i = rng.below(5); i > 0; --i)
+            st.entries.emplace_back(text(), rng.next());
+        return st;
+    }
+
+    /**
+     * One to three mutations: overwrite a byte, flip a bit, insert,
+     * erase, truncate, or write a count-like u32 (0, 1, near the
+     * length, past kMaxPayload) over the bytes.
+     */
+    void
+    mutate(std::string &s)
+    {
+        static const uint32_t kWords[] = {0,           1,
+                                          0x7fffffffu, 0xffffffffu,
+                                          net::kMaxPayload,
+                                          net::kMaxPayload + 1};
+        for (size_t m = 1 + rng.below(3); m > 0; --m) {
+            size_t at = rng.below(s.size() + 1);
+            switch (rng.below(6)) {
+              case 0:
+                if (at < s.size())
+                    s[at] = static_cast<char>(rng.below(256));
+                break;
+              case 1:
+                if (at < s.size())
+                    s[at] ^= static_cast<char>(1u << rng.below(8));
+                break;
+              case 2:
+                s.insert(at, 1, static_cast<char>(rng.below(256)));
+                break;
+              case 3:
+                if (at < s.size())
+                    s.erase(at, 1 + rng.below(4));
+                break;
+              case 4:
+                s.resize(at);
+                break;
+              default: {
+                uint32_t v = rng.chance(0.5)
+                                 ? kWords[rng.below(std::size(kWords))]
+                                 : static_cast<uint32_t>(
+                                       s.size() + rng.below(3) - 1);
+                s.replace(at, 4, reinterpret_cast<const char *>(&v), 4);
+                break;
+              }
+            }
+        }
+    }
+};
+
+/**
+ * 5000 rounds over one body codec: a valid body must round-trip
+ * exactly at the level it was encoded at; a mutation of it must be
+ * rejected or re-encode exactly.  @p tlv marks bodies that may end in
+ * a TLV extension block, whose unknown tags a decoder skips by design:
+ * for those the exact round trip covers the fixed fields (the level-1
+ * encoding is a prefix of the input), and the level-2 re-encoding must
+ * decode back to itself.
+ */
+template <typename Body, typename Encode>
+void
+fuzzCodec(uint64_t seed, Body (WireFuzz::*gen)(),
+          bool (*decode)(const std::string &, Body &), Encode encode,
+          bool tlv)
+{
+    WireFuzz fz(seed);
+    size_t accepted = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const uint32_t level = fz.level();
+        const std::string valid = encode((fz.*gen)(), level);
+        Body b;
+        ASSERT_TRUE(decode(valid, b)) << "round " << i;
+        ASSERT_EQ(encode(b, level), valid) << "round " << i;
+
+        std::string in = valid;
+        fz.mutate(in);
+        // An exact-size heap copy: reading past it trips ASan.
+        const std::string exact(in.data(), in.size());
+        Body m;
+        if (!decode(exact, m))
+            continue; // typed rejection
+        ++accepted;
+        const std::string fixed = encode(m, net::kFeatureBase);
+        if (!tlv) {
+            ASSERT_EQ(fixed, exact) << "round " << i;
+            continue;
+        }
+        ASSERT_EQ(exact.compare(0, fixed.size(), fixed), 0)
+            << "round " << i;
+        const std::string canon = encode(m, net::kFeatureTrace);
+        Body again;
+        ASSERT_TRUE(decode(canon, again)) << "round " << i;
+        ASSERT_EQ(encode(again, net::kFeatureTrace), canon)
+            << "round " << i;
+    }
+    // Some mutations must stay decodable, or the round-trip half of
+    // the property is never exercised.
+    EXPECT_GT(accepted, 0u);
+}
+
+TEST(WireFuzz, HelloBodies)
+{
+    fuzzCodec(101, &WireFuzz::hello, net::decodeHello,
+              [](const net::HelloBody &b, uint32_t) {
+                  return net::encodeHello(b);
+              },
+              false);
+}
+
+TEST(WireFuzz, HelloOkBodies)
+{
+    fuzzCodec(102, &WireFuzz::helloOk, net::decodeHelloOk,
+              [](const net::HelloOkBody &b, uint32_t) {
+                  return net::encodeHelloOk(b);
+              },
+              false);
+}
+
+TEST(WireFuzz, QueryBodies)
+{
+    fuzzCodec(103, &WireFuzz::query, net::decodeQuery,
+              [](const net::QueryBody &b, uint32_t level) {
+                  return net::encodeQuery(b, level);
+              },
+              true);
+}
+
+TEST(WireFuzz, ErrorBodies)
+{
+    fuzzCodec(104, &WireFuzz::error, net::decodeError,
+              [](const net::ErrorBody &b, uint32_t) {
+                  return net::encodeError(b);
+              },
+              false);
+}
+
+TEST(WireFuzz, ResultBodies)
+{
+    fuzzCodec(105, &WireFuzz::result, net::decodeResult,
+              [](const net::ResultBody &b, uint32_t level) {
+                  return net::encodeResult(b, level);
+              },
+              true);
+}
+
+TEST(WireFuzz, StatsBodies)
+{
+    fuzzCodec(106, &WireFuzz::stats, net::decodeStats,
+              [](const net::StatsBody &b, uint32_t) {
+                  return net::encodeStats(b);
+              },
+              false);
+}
+
+TEST(WireFuzz, AssemblerSplitFeedsMatchOneFeed)
+{
+    // Streams of valid frames, mutated three times in four, fed once
+    // whole and once in random splits (draining between feeds): both
+    // must yield the same frames and the same verdict, and the frames
+    // delivered must re-encode to exactly the bytes they came from.
+    WireFuzz fz(107);
+    auto drain = [](net::FrameAssembler &a, std::vector<net::Frame> &out) {
+        net::Frame f;
+        while (a.next(f))
+            out.push_back(f);
+    };
+    for (int i = 0; i < 3000; ++i) {
+        std::string stream;
+        std::vector<net::Frame> sent;
+        for (size_t n = 1 + fz.rng.below(4); n > 0; --n) {
+            net::Frame f;
+            f.type = static_cast<net::FrameType>(1 + fz.rng.below(8));
+            f.payload = fz.rng.chance(0.5)
+                            ? net::encodeResult(fz.result(), fz.level())
+                            : net::encodeQuery(fz.query(), fz.level());
+            stream += net::encodeFrame(f.type, f.payload);
+            sent.push_back(std::move(f));
+        }
+        const bool mutated = i % 4 != 0;
+        if (mutated)
+            fz.mutate(stream);
+
+        net::FrameAssembler whole;
+        whole.feed(stream.data(), stream.size());
+        std::vector<net::Frame> got;
+        drain(whole, got);
+
+        net::FrameAssembler split;
+        std::vector<net::Frame> got_split;
+        for (size_t at = 0; at < stream.size();) {
+            size_t n = std::min<size_t>(stream.size() - at,
+                                        1 + fz.rng.below(40));
+            const std::string chunk = stream.substr(at, n);
+            split.feed(chunk.data(), chunk.size());
+            at += n;
+            drain(split, got_split);
+        }
+
+        ASSERT_EQ(got.size(), got_split.size()) << "round " << i;
+        std::string delivered;
+        for (size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k].type, got_split[k].type) << "round " << i;
+            ASSERT_EQ(got[k].payload, got_split[k].payload)
+                << "round " << i;
+            delivered += net::encodeFrame(got[k].type, got[k].payload);
+        }
+        ASSERT_EQ(whole.error(), split.error()) << "round " << i;
+        ASSERT_EQ(whole.errorDetail(), split.errorDetail())
+            << "round " << i;
+        ASSERT_EQ(stream.compare(0, delivered.size(), delivered), 0)
+            << "round " << i;
+        if (!whole.error()) {
+            ASSERT_EQ(whole.buffered(), stream.size() - delivered.size())
+                << "round " << i;
+        }
+        if (!mutated) {
+            ASSERT_FALSE(whole.error()) << whole.errorDetail();
+            ASSERT_EQ(got.size(), sent.size());
+            for (size_t k = 0; k < sent.size(); ++k) {
+                EXPECT_EQ(got[k].type, sent[k].type);
+                EXPECT_EQ(got[k].payload, sent[k].payload);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -806,7 +1131,6 @@ TEST_F(ServerWorld, IdleSessionsAreReaped)
     World w;
     server::Config scfg;
     scfg.idleTimeoutMs = 150;
-    scfg.tickMs = 20;
     server::Server srv(*w.engine, scfg);
     ASSERT_EQ(srv.start(), "");
 
@@ -953,45 +1277,124 @@ TEST_F(ServerWorld, StatsExposeAdaptiveAuditTrail)
 }
 
 // ---------------------------------------------------------------------
-// HTTP scrape endpoint.
+// HTTP scrape endpoint, served from the server's event loop.
 // ---------------------------------------------------------------------
 
-namespace
+/** Server tests whose server also listens on an ephemeral HTTP port. */
+class HttpEndpoint : public ServerWorld
 {
+  protected:
+    static server::Config
+    httpConfig()
+    {
+        server::Config scfg;
+        scfg.httpPort = 0;
+        return scfg;
+    }
 
-/** Blocking one-shot HTTP GET; returns the raw response bytes. */
-std::string
-httpGet(uint16_t port, const std::string &target)
+    /** Connect to @p port with a 5 s send/receive timeout. */
+    static int
+    dial(uint16_t port)
+    {
+        std::string err;
+        int fd = net::connectTcp("127.0.0.1", port, 5000, &err);
+        EXPECT_GE(fd, 0) << err;
+        return fd;
+    }
+
+    /**
+     * Read until the server closes the connection.  Returns the bytes
+     * read; @p closed reports an orderly EOF or reset, as opposed to
+     * the receive timeout expiring with the connection still open.
+     */
+    static std::string
+    readToClose(int fd, bool *closed = nullptr)
+    {
+        std::string resp;
+        char buf[4096];
+        long got;
+        while ((got = net::recvSome(fd, buf, sizeof(buf))) > 0)
+            resp.append(buf, static_cast<size_t>(got));
+        if (closed != nullptr)
+            *closed = got == 0 || errno == ECONNRESET;
+        return resp;
+    }
+
+    /** One-shot request of raw @p bytes; the raw response. */
+    static std::string
+    exchange(uint16_t port, const std::string &bytes)
+    {
+        int fd = dial(port);
+        if (fd < 0)
+            return "connect failed";
+        net::sendAll(fd, bytes.data(), bytes.size());
+        std::string resp = readToClose(fd);
+        net::closeFd(fd);
+        return resp;
+    }
+
+    static std::string
+    get(uint16_t port, const std::string &target)
+    {
+        return exchange(port, "GET " + target +
+                                  " HTTP/1.1\r\nHost: localhost\r\n"
+                                  "Connection: close\r\n\r\n");
+    }
+
+    /** A query-holding execute hook and the means to release it. */
+    struct Hold
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        size_t entered = 0;
+        bool release = false;
+
+        std::function<void()>
+        hook()
+        {
+            return [this] {
+                std::unique_lock<std::mutex> lock(mu);
+                ++entered;
+                cv.notify_all();
+                cv.wait(lock, [this] { return release; });
+            };
+        }
+
+        void
+        awaitEntered(size_t n)
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait(lock, [&] { return entered >= n; });
+        }
+
+        void
+        open()
+        {
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                release = true;
+            }
+            cv.notify_all();
+        }
+    };
+};
+
+TEST_F(HttpEndpoint, MetricsAndHealthz)
 {
-    std::string err;
-    int fd = net::connectTcp("127.0.0.1", port, 2000, &err);
-    if (fd < 0)
-        return "connect failed: " + err;
-    std::string req = "GET " + target +
-                      " HTTP/1.1\r\nHost: localhost\r\n"
-                      "Connection: close\r\n\r\n";
-    net::sendAll(fd, req.data(), req.size());
-    std::string resp;
-    char buf[4096];
-    long got;
-    while ((got = net::recvSome(fd, buf, sizeof(buf))) > 0)
-        resp.append(buf, static_cast<size_t>(got));
-    net::closeFd(fd);
-    return resp;
-}
-
-} // namespace
-
-TEST(HttpEndpoint, MetricsAndHealthz)
-{
-    server::HttpServer http((server::HttpConfig()));
-    ASSERT_EQ(http.start(), "");
-    ASSERT_GT(http.port(), 0);
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+    ASSERT_GT(srv.httpPort(), 0);
+    EXPECT_NE(srv.httpPort(), srv.port());
 
     // Seed at least one counter so the exposition is non-trivial.
     DVP_COUNTER_INC("dvp_http_test_counter_total");
+    uint64_t wire_conns =
+        obs::Registry::global()
+            .counter("dvp_server_connections_total")
+            .value();
 
-    std::string metrics = httpGet(http.port(), "/metrics");
+    std::string metrics = get(srv.httpPort(), "/metrics");
     EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
     EXPECT_NE(metrics.find("text/plain; version=0.0.4"),
               std::string::npos);
@@ -999,16 +1402,233 @@ TEST(HttpEndpoint, MetricsAndHealthz)
                            "counter"),
               std::string::npos);
 
-    std::string health = httpGet(http.port(), "/healthz");
+    std::string health = get(srv.httpPort(), "/healthz");
+    EXPECT_EQ(health, "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+                      "Content-Length: 3\r\nConnection: close\r\n\r\n"
+                      "ok\n");
+
+    std::string missing = get(srv.httpPort(), "/nope");
+    EXPECT_NE(missing.find("HTTP/1.1 404 Not Found"), std::string::npos);
+
+    // Scrapes are not wire connections: every wire counter keeps its
+    // meaning.
+    EXPECT_EQ(srv.stats().connections, 0u);
+    EXPECT_EQ(obs::Registry::global()
+                  .counter("dvp_server_connections_total")
+                  .value(),
+              wire_conns);
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    client::Stats st = c.stats();
+    ASSERT_TRUE(st.ok) << st.error;
+    EXPECT_EQ(st.get("connections_total"), 1u);
+    EXPECT_EQ(st.get("sessions_active"), 1u);
+    c.close();
+
+    srv.stop();
+    EXPECT_FALSE(srv.running());
+}
+
+TEST_F(HttpEndpoint, ByteDribbledGetIsServed)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+
+    int fd = dial(srv.httpPort());
+    ASSERT_GE(fd, 0);
+    const std::string req = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    for (char ch : req) {
+        ASSERT_TRUE(net::sendAll(fd, &ch, 1));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::string resp = readToClose(fd);
+    net::closeFd(fd);
+    EXPECT_EQ(resp.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << resp;
+    EXPECT_EQ(resp.substr(resp.size() - 3), "ok\n");
+    srv.stop();
+}
+
+TEST_F(HttpEndpoint, OversizedRequestIsClosedWithoutResponse)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+
+    // Over the 8 KiB request cap and no blank line: dropped unanswered.
+    std::string req = "GET /metrics HTTP/1.1\r\nX-Pad: ";
+    req.append(9000, 'a');
+    int fd = dial(srv.httpPort());
+    ASSERT_GE(fd, 0);
+    net::sendAll(fd, req.data(), req.size());
+    bool closed = false;
+    std::string resp = readToClose(fd, &closed);
+    net::closeFd(fd);
+    EXPECT_TRUE(closed);
+    EXPECT_EQ(resp, "");
+
+    // The loop keeps serving.
+    EXPECT_NE(get(srv.httpPort(), "/healthz").find("200 OK"),
+              std::string::npos);
+    srv.stop();
+}
+
+TEST_F(HttpEndpoint, WrongMethodAndMalformedRequestLine)
+{
+    World w;
+    server::Server srv(*w.engine, httpConfig());
+    ASSERT_EQ(srv.start(), "");
+
+    std::string post =
+        exchange(srv.httpPort(), "POST /metrics HTTP/1.1\r\n\r\n");
+    EXPECT_EQ(post.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u)
+        << post;
+    EXPECT_NE(post.find("only GET is supported\n"), std::string::npos);
+
+    std::string bad = exchange(srv.httpPort(), "GARBAGE\r\n\r\n");
+    EXPECT_EQ(bad.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << bad;
+    EXPECT_NE(bad.find("bad request\n"), std::string::npos);
+    srv.stop();
+}
+
+TEST_F(HttpEndpoint, StalledConnectionIsReaped)
+{
+    World w;
+    server::Config scfg = httpConfig();
+    scfg.idleTimeoutMs = 150;
+    server::Server srv(*w.engine, scfg);
+    ASSERT_EQ(srv.start(), "");
+
+    // Half a request line, then silence: the idle deadline closes it
+    // well inside the 5 s receive timeout, with no response.
+    int fd = dial(srv.httpPort());
+    ASSERT_GE(fd, 0);
+    const std::string part = "GET /metr";
+    net::sendAll(fd, part.data(), part.size());
+    auto t0 = std::chrono::steady_clock::now();
+    bool closed = false;
+    std::string resp = readToClose(fd, &closed);
+    auto waited = std::chrono::steady_clock::now() - t0;
+    net::closeFd(fd);
+    EXPECT_TRUE(closed);
+    EXPECT_EQ(resp, "");
+    EXPECT_LT(waited, std::chrono::seconds(4));
+    srv.stop();
+}
+
+TEST_F(HttpEndpoint, MetricsAnswerWhileEveryWorkerIsHeld)
+{
+    World w;
+    server::Config scfg = httpConfig();
+    scfg.workers = 2;
+    server::Server srv(*w.engine, scfg);
+    Hold hold;
+    srv.setExecuteHook(hold.hook());
+    ASSERT_EQ(srv.start(), "");
+
+    client::Client a, b;
+    ASSERT_EQ(a.connect("127.0.0.1", srv.port(), "a"), "");
+    ASSERT_EQ(b.connect("127.0.0.1", srv.port(), "b"), "");
+    std::thread qa([&] { EXPECT_TRUE(a.query("SELECT str1 FROM t").ok); });
+    std::thread qb([&] { EXPECT_TRUE(b.query("SELECT num FROM t").ok); });
+    hold.awaitEntered(2);
+    ASSERT_EQ(srv.inflight(), 2u);
+
+    // Scrapes are answered on the loop, not by a worker.
+    std::string metrics = get(srv.httpPort(), "/metrics");
+    EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
+    EXPECT_NE(metrics.find("dvp_server_requests_total"),
+              std::string::npos);
+
+    hold.open();
+    qa.join();
+    qb.join();
+    a.close();
+    b.close();
+    srv.stop();
+}
+
+TEST_F(HttpEndpoint, HealthzAnswersDuringDrainAndRefusesAfterStop)
+{
+    World w;
+    server::Config scfg = httpConfig();
+    scfg.workers = 1;
+    server::Server srv(*w.engine, scfg);
+    Hold hold;
+    srv.setExecuteHook(hold.hook());
+    ASSERT_EQ(srv.start(), "");
+    const uint16_t port = srv.port(), http_port = srv.httpPort();
+
+    client::Client a;
+    ASSERT_EQ(a.connect("127.0.0.1", port, "a"), "");
+    std::thread slow([&] {
+        client::Result r = a.query("SELECT str1, num FROM t");
+        EXPECT_TRUE(r.ok) << r.error;
+    });
+    hold.awaitEntered(1);
+
+    srv.requestStop();
+    // Wait for the drain to close the wire listener.
+    for (int i = 0; i < 200; ++i) {
+        std::string err;
+        int fd = net::connectTcp("127.0.0.1", port, 200, &err);
+        if (fd < 0)
+            break;
+        net::closeFd(fd);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_FALSE(srv.drained());
+    std::string health = get(http_port, "/healthz");
     EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-    EXPECT_NE(health.find("ok"), std::string::npos);
+    EXPECT_NE(health.find("ok\n"), std::string::npos);
 
-    std::string missing = httpGet(http.port(), "/nope");
-    EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
+    hold.open();
+    slow.join();
+    srv.stop();
+    EXPECT_TRUE(srv.drained());
 
-    EXPECT_GE(http.requestsServed(), 3u);
-    http.stop();
-    EXPECT_FALSE(http.running());
+    std::string err;
+    int fd = net::connectTcp("127.0.0.1", http_port, 200, &err);
+    if (fd >= 0)
+        net::closeFd(fd);
+    EXPECT_LT(fd, 0);
+}
+
+TEST_F(ServerWorld, RepeatedDrainsUnderLoadFinishPromptly)
+{
+    // The loop polls with no tick, so a drain completes only when the
+    // last worker's wake reaches it.  Stop servers while clients keep
+    // statements in flight: every stop() must return, and promptly.
+    World w;
+    for (int round = 0; round < 10; ++round) {
+        server::Config scfg;
+        scfg.workers = 2;
+        server::Server srv(*w.engine, scfg);
+        ASSERT_EQ(srv.start(), "");
+        std::atomic<bool> quit{false};
+        std::vector<std::thread> clients;
+        for (int i = 0; i < 3; ++i)
+            clients.emplace_back([&] {
+                client::Client c;
+                if (!c.connect("127.0.0.1", srv.port(), "d").empty())
+                    return;
+                while (!quit.load(std::memory_order_relaxed))
+                    if (!c.query("SELECT COUNT(*) FROM t GROUP BY "
+                                 "thousandth")
+                             .ok)
+                        break;
+            });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        auto t0 = std::chrono::steady_clock::now();
+        srv.stop();
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(5))
+            << "round " << round;
+        EXPECT_EQ(srv.inflight(), 0u);
+        quit.store(true, std::memory_order_relaxed);
+        for (auto &th : clients)
+            th.join();
+    }
 }
 
 // ---------------------------------------------------------------------
