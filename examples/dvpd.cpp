@@ -50,7 +50,6 @@
  *     --wal-segment-mb N    WAL segment roll size     (default 64)
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,7 +57,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "adaptive/adaptive_engine.hh"
 #include "durability/manager.hh"
@@ -335,8 +333,7 @@ main(int argc, char **argv)
     std::fflush(stdout);
 
     server::Server::installSignalHandlers(&server);
-    while (!server.drained())
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    server.waitDrained();
     server.stop();
 
     // Let an in-flight background checkpoint finish before the engine

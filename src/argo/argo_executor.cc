@@ -432,7 +432,7 @@ ArgoExecutor::run(const Query &q)
 ResultSet
 ArgoExecutor::run(const Query &q, perf::MemoryHierarchy &mh)
 {
-    Exec<engine::SimTracer> exec(*store, engine::SimTracer{&mh});
+    Exec<engine::SimTracer> exec(*store, engine::SimTracer{&mh, nullptr});
     return engine::ops::runQuery(exec, q);
 }
 

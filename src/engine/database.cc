@@ -81,8 +81,8 @@ Database::adoptEpoch(uint64_t epoch)
 {
     epoch_ = epoch;
     // Lift the process-wide source past the adopted value so the next
-    // repartition's epoch stays strictly greater — prebound-plan checks
-    // and WAL Swap records rely on monotonicity.
+    // repartition's epoch stays strictly greater — WAL Swap records
+    // rely on monotonicity.
     uint64_t cur = next_epoch.load(std::memory_order_relaxed);
     while (cur <= epoch &&
            !next_epoch.compare_exchange_weak(

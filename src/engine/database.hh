@@ -138,8 +138,7 @@ class Database
      * Layout epoch: a process-wide monotone stamp taken at
      * construction.  Every adaptive swap installs a freshly built
      * Database and therefore a new epoch; a PhysicalPlan records the
-     * epoch it was bound against, and Executor::execute() refuses a
-     * plan from any other.
+     * epoch it was bound against (EXPLAIN ANALYZE reports it).
      */
     uint64_t epoch() const { return epoch_; }
 

@@ -47,8 +47,7 @@ namespace dvp::engine
  * Execution is a bind -> execute pipeline: run(q) binds a private
  * PhysicalPlan with bindPlan() (a catalog walk, no table reads) and
  * then walks the bound operators, which perform no catalog or
- * attribute-index lookups.  execute() skips the bind for a
- * caller that already holds a plan.
+ * attribute-index lookups.
  */
 class Executor
 {
@@ -119,13 +118,6 @@ class Executor
      * are exact and independent of the thread knob.
      */
     ResultSet run(const Query &q, perf::MemoryHierarchy &mh);
-
-    /**
-     * Execute a pre-bound plan.  @p plan must have been bound against
-     * this executor's Database (checked via the epoch stamp).
-     */
-    ResultSet execute(const PhysicalPlan &plan, const Query &q,
-                      QueryStats *stats = nullptr);
 
   private:
     /** Bind @p q under the catalog read lock. */

@@ -42,26 +42,6 @@ struct EqP
 {
     static bool ok(Slot s, Slot lo, Slot) { return s != kNullSlot && s == lo; }
 };
-struct NeP
-{
-    static bool ok(Slot s, Slot lo, Slot) { return s != kNullSlot && s != lo; }
-};
-struct LtP
-{
-    static bool ok(Slot s, Slot lo, Slot) { return slotIsNum(s) && s < lo; }
-};
-struct LeP
-{
-    static bool ok(Slot s, Slot lo, Slot) { return slotIsNum(s) && s <= lo; }
-};
-struct GtP
-{
-    static bool ok(Slot s, Slot lo, Slot) { return slotIsNum(s) && s > lo; }
-};
-struct GeP
-{
-    static bool ok(Slot s, Slot lo, Slot) { return slotIsNum(s) && s >= lo; }
-};
 struct BetweenP
 {
     static bool
@@ -169,6 +149,7 @@ numericMask(__m256i v, __m256i vnull, __m256i vone)
         const __m256i vnull = _mm256_set1_epi64x(kNullSlot);            \
         const __m256i vone = _mm256_set1_epi64x(1);                     \
         const __m256i vall = _mm256_set1_epi64x(-1);                    \
+        (void)vlo;                                                      \
         (void)vhi;                                                      \
         (void)vone;                                                     \
         (void)vall;                                                     \
@@ -192,27 +173,6 @@ DVP_DEFINE_AVX2_KERNEL(
     _mm256_andnot_si256(_mm256_cmpeq_epi64(v, vnull),
                         _mm256_cmpeq_epi64(v, vlo)))
 DVP_DEFINE_AVX2_KERNEL(
-    avx2Ne, NeP,
-    _mm256_andnot_si256(
-        _mm256_cmpeq_epi64(v, vnull),
-        _mm256_andnot_si256(_mm256_cmpeq_epi64(v, vlo), vall)))
-DVP_DEFINE_AVX2_KERNEL(
-    avx2Lt, LtP,
-    _mm256_and_si256(_mm256_cmpgt_epi64(vlo, v),
-                     numericMask(v, vnull, vone)))
-DVP_DEFINE_AVX2_KERNEL(
-    avx2Le, LeP,
-    _mm256_andnot_si256(_mm256_cmpgt_epi64(v, vlo),
-                        numericMask(v, vnull, vone)))
-DVP_DEFINE_AVX2_KERNEL(
-    avx2Gt, GtP,
-    _mm256_and_si256(_mm256_cmpgt_epi64(v, vlo),
-                     numericMask(v, vnull, vone)))
-DVP_DEFINE_AVX2_KERNEL(
-    avx2Ge, GeP,
-    _mm256_andnot_si256(_mm256_cmpgt_epi64(vlo, v),
-                        numericMask(v, vnull, vone)))
-DVP_DEFINE_AVX2_KERNEL(
     avx2Between, BetweenP,
     _mm256_and_si256(
         _mm256_andnot_si256(
@@ -232,21 +192,14 @@ DVP_DEFINE_AVX2_KERNEL(
 
 constexpr KernelFn kScalar[kPredOps] = {
     scalarScan<EqP>,      // Eq
-    scalarScan<NeP>,      // Ne
-    scalarScan<LtP>,      // Lt
-    scalarScan<LeP>,      // Le
-    scalarScan<GtP>,      // Gt
-    scalarScan<GeP>,      // Ge
     scalarScan<BetweenP>, // Between
-    scalarScan<EqP>,      // StrEq: same compare as Eq
     scalarScan<IsNullP>,  // IsNull
     scalarScan<NotNullP>, // NotNull
 };
 
 #ifdef DVP_KERNELS_X86
 constexpr KernelFn kAvx2[kPredOps] = {
-    avx2Eq, avx2Ne,      avx2Lt, avx2Le,     avx2Gt,
-    avx2Ge, avx2Between, avx2Eq, avx2IsNull, avx2NotNull,
+    avx2Eq, avx2Between, avx2IsNull, avx2NotNull,
 };
 #endif
 
@@ -292,20 +245,8 @@ predName(PredOp op)
     switch (op) {
       case PredOp::Eq:
         return "eq";
-      case PredOp::Ne:
-        return "ne";
-      case PredOp::Lt:
-        return "lt";
-      case PredOp::Le:
-        return "le";
-      case PredOp::Gt:
-        return "gt";
-      case PredOp::Ge:
-        return "ge";
       case PredOp::Between:
         return "between";
-      case PredOp::StrEq:
-        return "str_eq";
       case PredOp::IsNull:
         return "is_null";
       case PredOp::NotNull:
@@ -320,9 +261,7 @@ fromCondition(const Condition &c)
     switch (c.op) {
       case CondOp::Eq:
       case CondOp::AnyEq:
-        return Pred{storage::isStringSlot(c.lo) ? PredOp::StrEq
-                                                : PredOp::Eq,
-                    c.lo, c.lo};
+        return Pred{PredOp::Eq, c.lo, c.lo};
       case CondOp::Between:
         return Pred{PredOp::Between, c.lo, c.hi};
       case CondOp::IsNull:
@@ -340,18 +279,7 @@ matchOne(const Pred &p, Slot s)
 {
     switch (p.op) {
       case PredOp::Eq:
-      case PredOp::StrEq:
         return EqP::ok(s, p.lo, p.hi);
-      case PredOp::Ne:
-        return NeP::ok(s, p.lo, p.hi);
-      case PredOp::Lt:
-        return LtP::ok(s, p.lo, p.hi);
-      case PredOp::Le:
-        return LeP::ok(s, p.lo, p.hi);
-      case PredOp::Gt:
-        return GtP::ok(s, p.lo, p.hi);
-      case PredOp::Ge:
-        return GeP::ok(s, p.lo, p.hi);
       case PredOp::Between:
         return BetweenP::ok(s, p.lo, p.hi);
       case PredOp::IsNull:
@@ -438,19 +366,7 @@ zoneCanMatch(const Pred &p, const storage::ZoneEntry &z)
       case PredOp::NotNull:
         return z.nonnull > 0;
       case PredOp::Eq:
-      case PredOp::StrEq:
         return z.nonnull > 0 && p.lo >= z.min && p.lo <= z.max;
-      case PredOp::Ne:
-        // Only an all-equal block can be skipped.
-        return z.nonnull > 0 && !(z.min == z.max && z.min == p.lo);
-      case PredOp::Lt:
-        return z.nonnull > 0 && z.min < p.lo;
-      case PredOp::Le:
-        return z.nonnull > 0 && z.min <= p.lo;
-      case PredOp::Gt:
-        return z.nonnull > 0 && z.max > p.lo;
-      case PredOp::Ge:
-        return z.nonnull > 0 && z.max >= p.lo;
       case PredOp::Between:
         return z.nonnull > 0 && z.max >= p.lo && z.min <= p.hi;
     }
@@ -497,22 +413,6 @@ countCompressedEval(CompressedPath path)
 namespace
 {
 
-/** True when @p op needs value *order*, not just identity/nullness. */
-bool
-isRangeOp(PredOp op)
-{
-    switch (op) {
-      case PredOp::Lt:
-      case PredOp::Le:
-      case PredOp::Gt:
-      case PredOp::Ge:
-      case PredOp::Between:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** Emit [a, b) (block-relative) into @p sel, rebased to @p i0. */
 void
 emitSpan(size_t a, size_t b, size_t i0, SelVec &sel)
@@ -556,21 +456,21 @@ evalRle(const storage::ColBlock &cb, size_t i0, size_t i1,
 }
 
 /**
- * Pack: reduce @p p to an interval (or exclusion) in code space.
- * Returns false when the op cannot be answered on codes (a range op
- * over a block that may hold string-tagged slots).
+ * Pack: reduce @p p to one interval [clo, chi] in code space.
+ * Returns false when the op cannot be answered on codes (Between over
+ * a block that may hold string-tagged slots).
  */
 bool
 evalPack(const storage::ColBlock &cb, size_t i0, size_t i1,
          const Pred &p, const storage::ZoneEntry &z, SelVec &sel)
 {
     // The code mapping code = v - base + 1 is monotone over *all*
-    // slot values, but range predicates additionally exclude
-    // string-tagged slots; only a zone-certified string-free block
-    // makes the code interval exact for them.
+    // slot values, but Between additionally excludes string-tagged
+    // slots; only a zone-certified string-free block makes the code
+    // interval exact for it.
     bool may_have_strings =
         z.nonnull > 0 && z.max >= storage::kStringTag;
-    if (isRangeOp(p.op) && may_have_strings)
+    if (p.op == PredOp::Between && may_have_strings)
         return false;
 
     using I128 = __int128;
@@ -579,54 +479,20 @@ evalPack(const storage::ColBlock &cb, size_t i0, size_t i1,
         (I128{1} << cb.width) - 1; // codes are width-bit values
     auto codeOf = [&](Slot v) { return I128{v} - base + 1; };
 
-    // Interval [clo, chi] in code space; Ne is the one exclusion case.
     I128 clo = 1, chi = cmax;
-    uint64_t ne_code = ~uint64_t{0}; // sentinel: matches no stored code
-    bool ne_mode = false;
     switch (p.op) {
       case PredOp::Eq:
-      case PredOp::StrEq:
         clo = chi = codeOf(p.lo);
         break;
-      case PredOp::Ne: {
-        ne_mode = true;
-        I128 t = codeOf(p.lo);
-        if (t >= 1 && t <= cmax)
-            ne_code = static_cast<uint64_t>(t);
-        break;
-      }
       case PredOp::IsNull:
         clo = chi = 0;
         break;
       case PredOp::NotNull:
         break; // [1, cmax]
-      case PredOp::Lt:
-        chi = codeOf(p.lo) - 1;
-        break;
-      case PredOp::Le:
-        chi = codeOf(p.lo);
-        break;
-      case PredOp::Gt:
-        clo = codeOf(p.lo) + 1;
-        break;
-      case PredOp::Ge:
-        clo = codeOf(p.lo);
-        break;
       case PredOp::Between:
         clo = codeOf(p.lo);
         chi = codeOf(p.hi);
         break;
-    }
-
-    uint32_t k = 0;
-    if (ne_mode) {
-        for (size_t i = i0; i < i1; ++i) {
-            uint64_t code = storage::packedCode(cb, i);
-            sel.idx[k] = static_cast<uint32_t>(i - i0);
-            k += (code != 0 && code != ne_code) ? 1u : 0u;
-        }
-        sel.n = k;
-        return true;
     }
 
     // Clamp to representable codes; value ops never admit the NULL
@@ -640,6 +506,7 @@ evalPack(const storage::ColBlock &cb, size_t i0, size_t i1,
     }
     const uint64_t lo64 = static_cast<uint64_t>(clo);
     const uint64_t hi64 = static_cast<uint64_t>(chi);
+    uint32_t k = 0;
     for (size_t i = i0; i < i1; ++i) {
         uint64_t code = storage::packedCode(cb, i);
         sel.idx[k] = static_cast<uint32_t>(i - i0);

@@ -24,12 +24,18 @@
  * and against the executor's original row-at-a-time loop.
  *
  * NULL and type handling live inside the compare, not around it:
- *  - the NULL sentinel (INT64_MIN) never matches Eq/StrEq/Ne even when
- *    the literal equals the sentinel bit pattern, and never matches a
- *    range predicate even when the range abuts INT64_MIN;
- *  - numeric range ops (Lt/Le/Gt/Ge/Between) match only numeric slots:
- *    string-tagged slots (bits 63..62 == 01) are excluded exactly as
- *    Condition::matches / storage::isNumericSlot exclude them.
+ *  - the NULL sentinel (INT64_MIN) never matches Eq even when the
+ *    literal equals the sentinel bit pattern, and never matches Between
+ *    even when the range abuts INT64_MIN;
+ *  - Between matches only numeric slots: string-tagged slots (bits
+ *    63..62 == 01) are excluded exactly as Condition::matches /
+ *    storage::isNumericSlot exclude them.
+ *
+ * The op set is exactly what the SQL surface emits (fromCondition):
+ * equality (including = ANY and string literals), BETWEEN and IS [NOT]
+ * NULL.  Slots hold integers, so a one-sided comparison is a BETWEEN
+ * with one end at INT64_MIN or INT64_MAX; should SQL ever accept
+ * <, <=, > or >=, the parser rewrites them rather than adding ops.
  *
  * zoneCanMatch() is the storage-side counterpart: a conservative
  * per-block test over a Table's ZoneEntry (min/max/null counts, see
@@ -55,11 +61,8 @@ constexpr size_t kBatchRows = storage::kZoneRows;
 
 /** Predicate ops.  Semantics per slot s (lo/hi are the literals):
  *
- *   Eq / StrEq  !null(s) && s == lo   (StrEq: lo is a dictionary code;
- *                                      the compare is the same, the op
- *                                      is split for counters/zone docs)
- *   Ne          !null(s) && s != lo
- *   Lt/Le/Gt/Ge numeric(s) && s <op> lo
+ *   Eq          !null(s) && s == lo   (lo may be a dictionary-encoded
+ *                                      string: the compare is the same)
  *   Between     numeric(s) && lo <= s && s <= hi
  *   IsNull      null(s)
  *   NotNull     !null(s)
@@ -67,17 +70,11 @@ constexpr size_t kBatchRows = storage::kZoneRows;
 enum class PredOp : uint8_t
 {
     Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
     Between,
-    StrEq,
     IsNull,
     NotNull
 };
-constexpr size_t kPredOps = 10;
+constexpr size_t kPredOps = 4;
 
 /** Stable lowercase name of @p op (metric labels, bench output). */
 const char *predName(PredOp op);
@@ -103,10 +100,9 @@ struct Pred
 };
 
 /**
- * Translate a query Condition into a kernel Pred.
- * Eq/AnyEq literals that are dictionary-encoded strings map to StrEq
- * (same compare, see PredOp).  @pre c.op is Eq, AnyEq, Between,
- * IsNull, or NotNull.
+ * Translate a query Condition into a kernel Pred.  Eq and AnyEq map to
+ * Eq whether the literal is a number or a dictionary-encoded string.
+ * @pre c.op is Eq, AnyEq, Between, IsNull, or NotNull.
  */
 Pred fromCondition(const Condition &c);
 
@@ -152,11 +148,11 @@ void countInvocation(PredOp op, bool simd);
 
 /**
  * Conservative block-skip test: false only when *no* slot in a block
- * summarized by @p z can satisfy @p p.  Range ops compare against the
- * raw-order min/max (strings sort above numerics, so the test stays
- * conservative for numeric-only ops); IsNull/NotNull prune on the
- * zone's null/nonnull counts (an all-null block can only satisfy
- * IsNull, a fully dense one never does).
+ * summarized by @p z can satisfy @p p.  Eq and Between compare against
+ * the raw-order min/max (strings sort above numerics, so the test
+ * stays conservative for the numeric-only Between); IsNull/NotNull
+ * prune on the zone's null/nonnull counts (an all-null block can only
+ * satisfy IsNull, a fully dense one never does).
  */
 bool zoneCanMatch(const Pred &p, const storage::ZoneEntry &z);
 
@@ -182,13 +178,13 @@ const char *compressedPathName(CompressedPath path);
  *  - Rle: runs overlapping the range are tested once each with
  *    matchOne and emitted as index spans — NULL runs answer
  *    IsNull/NotNull for thousands of rows with one compare;
- *  - Pack: every op except Ne reduces to a code-domain interval
- *    [clo, chi] (the code mapping is monotone; code 0 is NULL), so
- *    Eq/StrEq become a single translated code compare and Between
- *    uses transformed bounds.  Range ops take this path only when the
- *    zone proves the block holds no string-tagged slots (@p z.max
- *    below the string tag) — otherwise the code interval could admit
- *    strings the predicate must exclude;
+ *  - Pack: every op reduces to one code-domain interval [clo, chi]
+ *    (the code mapping is monotone; code 0 is NULL), so Eq becomes a
+ *    single translated code compare and Between uses transformed
+ *    bounds.  Between takes this path only when the zone proves the
+ *    block holds no string-tagged slots (@p z.max below the string
+ *    tag) — otherwise the code interval could admit strings the
+ *    predicate must exclude;
  *  - Raw: the dispatched kernel runs directly over the stored slots;
  *  - anything else decompresses into @p scratch (>= cb.rows slots,
  *    preallocated per executor lane) and runs the dispatched kernel.

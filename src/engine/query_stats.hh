@@ -3,7 +3,7 @@
  * Per-query execution statistics (EXPLAIN ANALYZE, wire operator
  * summaries, the slow-query log).
  *
- * A QueryStats is filled by Executor::run / Executor::execute from the
+ * A QueryStats is filled by Executor::run from the
  * same per-lane counters that feed the dvp_* metrics registry — both
  * views read the identical merged Exec fields, so the per-query numbers
  * reconcile exactly with the exported Prometheus counter deltas for
@@ -48,7 +48,7 @@ struct QueryStats
 
     // -- per-run measurements (vary run to run) ------------------------
     uint64_t execNs = 0;     ///< whole-query wall time
-    uint64_t planNs = 0;     ///< bind (0 for a prebound plan)
+    uint64_t planNs = 0;     ///< bind
     uint64_t filterNs = 0;   ///< WHERE scan (join build-side included)
     uint64_t retrieveNs = 0; ///< index retrieval of matches
     uint64_t projectNs = 0;  ///< merge-scan projection

@@ -54,21 +54,6 @@ setNonBlocking(int fd)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/** Cheap pre-classification: LOAD statements take the exclusive lock. */
-bool
-looksLikeLoad(const std::string &sql)
-{
-    size_t i = sql.find_first_not_of(" \t\r\n");
-    if (i == std::string::npos || sql.size() - i < 4)
-        return false;
-    const char *kw = "LOAD";
-    for (int k = 0; k < 4; ++k)
-        if (std::toupper(static_cast<unsigned char>(sql[i + k])) !=
-            kw[k])
-            return false;
-    return true;
-}
-
 /** A complete ERROR frame. */
 std::string
 errorFrame(net::ErrorCode code, const std::string &message)
@@ -423,6 +408,7 @@ Server::eventLoop()
     http_fd = -1;
     DVP_GAUGE_SET("dvp_server_sessions_active", 0);
     loop_done_.store(true, std::memory_order_release);
+    loop_done_.notify_all();
 }
 
 void
@@ -1002,25 +988,15 @@ Server::executeTask(Task &task)
             detail = trace_detail;
         }
         DVP_TRACE_SPAN(exec_span, "execute", detail);
-        if (looksLikeLoad(task.sql)) {
-            // Bulk ingest is the one statement kind that still takes
-            // the lock exclusively.
-            std::unique_lock<std::shared_mutex> lock(statement_mu);
-            uint64_t t0 = nowNs();
-            r = sql::runStatement(*engine, task.sql, load,
-                                  cfg.allowInsert);
-            // runStatement leaves seconds at 0 for Message results;
-            // stamp the LOAD wall time so clients see execNs and the
-            // slow-query threshold applies to bulk ingest too.
-            r.seconds = static_cast<double>(nowNs() - t0) / 1e9;
-        } else {
-            // Queries and INSERTs share: the engine snapshots an
-            // (epoch, base, delta-prefix) cut per statement, so a
-            // concurrent append never changes what a reader sees.
-            std::shared_lock<std::shared_mutex> lock(statement_mu);
-            r = sql::runStatement(*engine, task.sql, load,
-                                  cfg.allowInsert);
-        }
+        // The engine snapshots an (epoch, base, delta-prefix) cut per
+        // statement, so a concurrent INSERT or LOAD append never
+        // changes what a reader sees.
+        r = sql::runStatement(*engine, task.sql, load, cfg.allowInsert);
+        // runStatement leaves seconds at 0 for Message results; stamp
+        // the LOAD wall time so clients see execNs and the slow-query
+        // threshold applies to bulk ingest too.
+        if (did_load)
+            r.seconds = static_cast<double>(nowNs() - t_exec) / 1e9;
     }
 
     const uint64_t t_encode = nowNs();

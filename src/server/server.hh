@@ -25,11 +25,10 @@
  *
  * Backpressure: QUERY frames past the Config::maxInflight watermark
  * (queued + executing) are rejected immediately with a typed
- * SERVER_BUSY error; the connection stays usable.  Statements execute
- * under a shared/exclusive statement lock: queries AND INSERTs share
- * (the engine's epoch snapshot + delta store give every reader a
- * consistent cut, so writers never block readers), only bulk LOAD
- * DATA is exclusive.
+ * SERVER_BUSY error; the connection stays usable.  Statements run
+ * concurrently with no server-side lock: queries, INSERTs and LOAD
+ * DATA all go through the engine, whose epoch snapshot + delta store
+ * give every reader a consistent cut, so writers never block readers.
  *
  * Graceful drain: requestStop() (directly, via stop(), or from the
  * SIGINT/SIGTERM handlers) stops accepting wire connections, answers
@@ -55,7 +54,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -201,6 +199,12 @@ class Server
         return loop_done_.load(std::memory_order_acquire);
     }
 
+    /**
+     * Block until drained() is true: a daemon's main thread parks here
+     * until a signal-triggered drain completes, then calls stop().
+     */
+    void waitDrained() const { loop_done_.wait(false); }
+
     /** statements queued + executing right now (tests, admission). */
     size_t inflight() const
     {
@@ -281,14 +285,6 @@ class Server
     std::deque<Task> queue;
     bool workers_quit = false;
 
-    /**
-     * Statement lock: queries and INSERTs take it shared, LOAD DATA
-     * exclusive.  The engine's own locking covers layout swaps and
-     * per-document appends (snapshot + delta store); this additionally
-     * keeps bulk ingest from starving an open cursor's decode pass.
-     */
-    std::shared_mutex statement_mu;
-
     std::atomic<size_t> inflight_{0};
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
@@ -300,9 +296,9 @@ class Server
 
     /**
      * Cumulative LOAD-pipeline counters (STATS: parse_docs_total,
-     * parse_bytes_total, load_*_ns_total).  Written by whichever
-     * worker holds the exclusive statement lock for a LOAD; read
-     * lock-free by the event loop's STATS handler.
+     * parse_bytes_total, load_*_ns_total).  Added to by the worker
+     * running a LOAD; read lock-free by the event loop's STATS
+     * handler.
      */
     std::atomic<uint64_t> parse_docs_{0};
     std::atomic<uint64_t> parse_bytes_{0};

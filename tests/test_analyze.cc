@@ -12,7 +12,6 @@
 #include "adaptive/adaptive_engine.hh"
 #include "engine/database.hh"
 #include "engine/executor.hh"
-#include "engine/plan.hh"
 #include "engine/query_stats.hh"
 #include "net/wire.hh"
 #include "nobench/generator.hh"
@@ -248,15 +247,6 @@ TEST_F(AnalyzeWorld, PlanProvenance)
     exec.run(q, &s);
     EXPECT_EQ(s.planEpoch, plain->epoch());
     EXPECT_EQ(s.layoutFingerprint, plain->layoutFingerprint());
-
-    // Caller-held plan: plan time is zero by definition (binding
-    // happened outside the measured execution).
-    PhysicalPlan plan = bindPlan(*plain, q);
-    QueryStats pre;
-    exec.execute(plan, q, &pre);
-    EXPECT_EQ(pre.planNs, 0u);
-    EXPECT_EQ(pre.planEpoch, plain->epoch());
-    EXPECT_EQ(pre.layoutFingerprint, plain->layoutFingerprint());
 }
 
 // ---------------------------------------------------------------------

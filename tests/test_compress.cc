@@ -307,25 +307,27 @@ literalsFor(k::PredOp op, Rng &rng)
         return {{-3, 3},
                 {rng.range(-120, 0), rng.range(0, 120)},
                 {INT64_MIN, INT64_MAX},
+                {INT64_MIN, rng.range(-100, 100)}, // one-sided: <=
+                {rng.range(-100, 100), INT64_MAX}, // one-sided: >=
                 {5, -5}}; // empty range
-      case k::PredOp::StrEq:
-        return {{storage::encodeString(
-                     static_cast<storage::StringId>(rng.below(32))),
-                 0}};
-      case k::PredOp::IsNull:
-      case k::PredOp::NotNull:
-        return {{0, 0}};
-      default:
+      case k::PredOp::Eq:
         return {{rng.range(-100, 100), 0},
+                {storage::encodeString(
+                     static_cast<storage::StringId>(rng.below(32))),
+                 0},                      // string equality
                 {kNullSlot, 0},           // sentinel literal never matches
                 {Slot{1} << 58, 0}};      // far outside every frame
+      case k::PredOp::IsNull:
+      case k::PredOp::NotNull:
+        break;
     }
+    return {{0, 0}};
 }
 
 constexpr k::PredOp kAllOps[] = {
-    k::PredOp::Eq,      k::PredOp::Ne,     k::PredOp::Lt,
-    k::PredOp::Le,      k::PredOp::Gt,     k::PredOp::Ge,
-    k::PredOp::Between, k::PredOp::StrEq,  k::PredOp::IsNull,
+    k::PredOp::Eq,
+    k::PredOp::Between,
+    k::PredOp::IsNull,
     k::PredOp::NotNull,
 };
 

@@ -48,7 +48,7 @@ class Reference
             return join(q);
           default:
             ADD_FAILURE() << "reference does not model inserts";
-            return {};
+            return ResultSet();
         }
     }
 

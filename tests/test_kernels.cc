@@ -30,6 +30,7 @@
 
 #include <climits>
 #include <cstdlib>
+#include <iterator>
 #include <vector>
 
 #include "adaptive/adaptive_engine.hh"
@@ -77,11 +78,12 @@ testDocs()
 }
 
 constexpr k::PredOp kAllOps[] = {
-    k::PredOp::Eq,      k::PredOp::Ne,     k::PredOp::Lt,
-    k::PredOp::Le,      k::PredOp::Gt,     k::PredOp::Ge,
-    k::PredOp::Between, k::PredOp::StrEq,  k::PredOp::IsNull,
+    k::PredOp::Eq,
+    k::PredOp::Between,
+    k::PredOp::IsNull,
     k::PredOp::NotNull,
 };
+static_assert(std::size(kAllOps) == k::kPredOps);
 
 /** Random slot: numeric in a small range, string-tagged, or NULL. */
 Slot
@@ -158,12 +160,16 @@ TEST(KernelSemantics, MatchOneAgreesWithConditionMatches)
     }
 }
 
-TEST(KernelSemantics, FromConditionMapsStringEqToStrEq)
+TEST(KernelSemantics, FromConditionMapsStringEqToEq)
 {
     Condition c;
     c.op = CondOp::Eq;
     c.lo = storage::encodeString(7);
-    EXPECT_EQ(k::fromCondition(c).op, k::PredOp::StrEq);
+    EXPECT_EQ(k::fromCondition(c).op, k::PredOp::Eq);
+    EXPECT_EQ(k::fromCondition(c).lo, c.lo);
+    c.op = CondOp::AnyEq;
+    EXPECT_EQ(k::fromCondition(c).op, k::PredOp::Eq);
+    c.op = CondOp::Eq;
     c.lo = 7;
     EXPECT_EQ(k::fromCondition(c).op, k::PredOp::Eq);
     c.op = CondOp::Between;
@@ -173,17 +179,24 @@ TEST(KernelSemantics, FromConditionMapsStringEqToStrEq)
 
 /** Literal pairs exercised per op (lo, hi; hi unused except Between). */
 std::vector<std::pair<Slot, Slot>>
-literalsFor(k::PredOp op, Rng &rng)
+literalsFor(Rng &rng)
 {
     std::vector<std::pair<Slot, Slot>> ls;
     for (int i = 0; i < 4; ++i) {
         Slot lo = rng.range(-8, 8);
         ls.emplace_back(lo, lo + static_cast<Slot>(rng.below(6)));
     }
-    if (op == k::PredOp::StrEq)
-        for (auto &[lo, hi] : ls)
-            lo = hi = storage::encodeString(
-                static_cast<storage::StringId>(lo & 15));
+    // String literals: Eq on a dictionary code (string equality), and
+    // a Between over codes, which must match nothing.
+    for (int i = 0; i < 2; ++i) {
+        Slot code = storage::encodeString(
+            static_cast<storage::StringId>(rng.below(16)));
+        ls.emplace_back(code, code);
+    }
+    // One-sided ranges: what x <= pivot and x >= pivot are as Between.
+    Slot pivot = rng.range(-8, 8);
+    ls.emplace_back(INT64_MIN, pivot);
+    ls.emplace_back(pivot, INT64_MAX);
     // Edge literals: the sentinel bit pattern, abutting ranges, and
     // extreme bounds.
     ls.emplace_back(kNullSlot, kNullSlot);
@@ -210,7 +223,7 @@ TEST(KernelSemantics, ScalarKernelMatchesOracle)
                                            stride);
                     for (Slot &s : data)
                         s = randomSlot(rng, nd, 0.2);
-                    for (auto [lo, hi] : literalsFor(op, rng)) {
+                    for (auto [lo, hi] : literalsFor(rng)) {
                         k::Pred p{op, lo, hi};
                         k::SelVec sel;
                         fn(data.data(), stride, n, lo, hi, sel);
@@ -241,7 +254,7 @@ TEST(KernelSemantics, SimdKernelMatchesScalarKernel)
                                            stride);
                     for (Slot &s : data)
                         s = randomSlot(rng, nd, 0.2);
-                    for (auto [lo, hi] : literalsFor(op, rng)) {
+                    for (auto [lo, hi] : literalsFor(rng)) {
                         k::SelVec a, b;
                         scalar(data.data(), stride, n, lo, hi, a);
                         simd(data.data(), stride, n, lo, hi, b);
@@ -290,10 +303,11 @@ TEST(KernelSemantics, NullSentinelNeverMatches)
     // bitwise, must still never match (NULL != NULL in SQL terms).
     expectNoMatchBothForms(k::PredOp::Eq, kNullSlot, kNullSlot,
                            only_nulls);
-    // Relational ops against the sentinel bit pattern as a literal.
-    expectNoMatchBothForms(k::PredOp::Le, INT64_MIN + 10, 0, only_nulls);
-    expectNoMatchBothForms(k::PredOp::Ge, INT64_MIN, 0, only_nulls);
-    expectNoMatchBothForms(k::PredOp::Ne, 42, 0, only_nulls);
+    // One-sided ranges with the sentinel bit pattern as the open end.
+    expectNoMatchBothForms(k::PredOp::Between, INT64_MIN, INT64_MIN + 10,
+                           only_nulls);
+    expectNoMatchBothForms(k::PredOp::Between, INT64_MIN, 0, only_nulls);
+    expectNoMatchBothForms(k::PredOp::NotNull, 0, 0, only_nulls);
 
     // A double reinterpreted to the sentinel's bit pattern is the same
     // 8 bytes; the engine stores no such value, but a column holding
@@ -303,7 +317,7 @@ TEST(KernelSemantics, NullSentinelNeverMatches)
                               static_cast<Slot>(0x8000000000000000ull));
     expectNoMatchBothForms(k::PredOp::Between, INT64_MIN, INT64_MAX,
                            pattern);
-    expectNoMatchBothForms(k::PredOp::Lt, 0, 0, pattern);
+    expectNoMatchBothForms(k::PredOp::Between, INT64_MIN, -1, pattern);
 
     // IsNull is the one op the sentinel must match.
     k::SelVec sel;
@@ -435,7 +449,7 @@ TEST(ZoneMaps, ZoneCanMatchNeverSkipsAMatch)
             }
         }
         for (k::PredOp op : kAllOps) {
-            for (auto [lo, hi] : literalsFor(op, rng)) {
+            for (auto [lo, hi] : literalsFor(rng)) {
                 k::Pred p{op, lo, hi};
                 bool any = false;
                 for (Slot s : block)

@@ -2,8 +2,7 @@
  * @file
  * Tests for the physical-plan layer (src/engine/plan*): binding,
  * executor integration (repeated execution bit-identical across
- * layouts and thread counts, prebound plans pinned to their database),
- * and adaptive swaps.
+ * layouts and thread counts), and adaptive swaps.
  */
 
 #include <gtest/gtest.h>
@@ -142,15 +141,6 @@ TEST_F(PlanWorld, RepeatedExecutionBitIdenticalAcrossLayoutsAndThreads)
             }
         }
     }
-}
-
-TEST_F(PlanWorld, PreboundExecuteRejectsForeignPlans)
-{
-    Rng rng(6);
-    Query q = qs->instantiate(nobench::kQ1, rng);
-    PhysicalPlan plan = bindPlan(*row, q);
-    Executor exec(*fixed);
-    EXPECT_DEATH(exec.execute(plan, q), "different database");
 }
 
 // ---------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -1126,6 +1127,59 @@ TEST_F(ServerWorld, LoadDataOverTheWire)
     std::remove(path.c_str());
 }
 
+TEST_F(ServerWorld, LoadRunsAlongsideQueries)
+{
+    // LOAD takes no server-side lock: it ingests through the engine's
+    // batch append while another worker runs queries.  Each query reads
+    // one snapshot, so it sees the loaded batch entirely or not at all.
+    constexpr int kDocs = 200;
+    std::string path = ::testing::TempDir() + "dvp_server_load_mt.jsonl";
+    {
+        std::ofstream out(path);
+        for (int i = 0; i < kDocs; ++i)
+            out << "{\"num\": " << (9100000 + i)
+                << ", \"str1\": \"concurrent_load_" << i << "\"}\n";
+    }
+
+    World w;
+    server::Config scfg;
+    scfg.allowLoad = true;
+    scfg.workers = 2;
+    server::Server srv(*w.engine, scfg);
+    ASSERT_EQ(srv.start(), "");
+
+    std::atomic<bool> loaded{false};
+    std::thread reader([&] {
+        client::Client c;
+        ASSERT_EQ(c.connect("127.0.0.1", srv.port(), "r"), "");
+        for (int i = 0; i < 2000; ++i) {
+            const bool after = loaded.load();
+            client::Result r = c.query(
+                "SELECT str1, num FROM t WHERE num BETWEEN 9100000 AND "
+                "9100199");
+            ASSERT_TRUE(r.ok) << r.error;
+            ASSERT_TRUE(r.rows.empty() || r.rows.size() == kDocs)
+                << r.rows.size() << " rows";
+            if (after) {
+                EXPECT_EQ(r.rows.size(), size_t{kDocs});
+                break;
+            }
+        }
+    });
+
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port(), "w"), "");
+    client::Result r = c.query("LOAD DATA LOCAL INFILE '" + path +
+                               "' REPLACE INTO TABLE t");
+    EXPECT_TRUE(r.ok) << r.error;
+    loaded.store(true);
+    reader.join();
+
+    c.close();
+    srv.stop();
+    std::remove(path.c_str());
+}
+
 TEST_F(ServerWorld, IdleSessionsAreReaped)
 {
     World w;
@@ -1629,6 +1683,58 @@ TEST_F(ServerWorld, RepeatedDrainsUnderLoadFinishPromptly)
         for (auto &th : clients)
             th.join();
     }
+}
+
+TEST_F(ServerWorld, WaitDrainedBlocksUntilTheDrainCompletes)
+{
+    // A daemon's main thread parks in waitDrained() until a
+    // signal-triggered drain ends: it stays blocked while an admitted
+    // statement is held in flight, and returns once that statement
+    // answers, with no stop() call and no polling.
+    World w;
+    server::Config scfg;
+    scfg.workers = 1;
+    server::Server srv(*w.engine, scfg);
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false, release = false;
+    srv.setExecuteHook([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        entered = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+    });
+    ASSERT_EQ(srv.start(), "");
+
+    client::Client a;
+    ASSERT_EQ(a.connect("127.0.0.1", srv.port(), "a"), "");
+    std::thread slow([&] {
+        client::Result r = a.query("SELECT str1, num FROM t");
+        EXPECT_TRUE(r.ok) << r.error;
+    });
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return entered; });
+    }
+
+    std::future<void> waiter =
+        std::async(std::launch::async, [&] { srv.waitDrained(); });
+    srv.requestStop();
+    EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(200)),
+              std::future_status::timeout);
+    EXPECT_FALSE(srv.drained());
+
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        release = true;
+    }
+    cv.notify_all();
+    ASSERT_EQ(waiter.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    EXPECT_TRUE(srv.drained());
+    slow.join();
+    srv.stop();
 }
 
 // ---------------------------------------------------------------------

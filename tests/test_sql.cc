@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adaptive/adaptive_engine.hh"
 #include "engine/database.hh"
 #include "engine/executor.hh"
 #include "engine/plan.hh"
@@ -14,6 +15,7 @@
 #include "nobench/queries.hh"
 #include "sql/lexer.hh"
 #include "sql/parser.hh"
+#include "sql/run.hh"
 
 namespace dvp::sql
 {
@@ -404,9 +406,8 @@ TEST_F(SqlWorld, RoundTripsMatchHandBuiltTemplates)
                   hand.describe(*db).substr(hand.describe(*db)
                                                 .find('\n')));
 
-        // ...and bit-identical results through the pre-bound API.
-        EXPECT_EQ(exec.execute(parsed, r.query).digest(),
-                  exec.execute(hand, c.q).digest());
+        // ...and bit-identical results.
+        EXPECT_EQ(exec.run(r.query).digest(), exec.run(c.q).digest());
     }
 }
 
@@ -438,10 +439,9 @@ TEST_F(SqlWorld, InsertRoundTripQ12)
     nobench::QuerySet qs(ds, small);
     engine::Query q12 = qs.insertQuery(&extra);
 
-    engine::PhysicalPlan plan = engine::bindPlan(local, q12);
-    EXPECT_EQ(plan.kind, QueryKind::Insert);
+    EXPECT_EQ(engine::bindPlan(local, q12).kind, QueryKind::Insert);
     engine::Executor exec(local);
-    exec.execute(plan, q12);
+    exec.run(q12);
     EXPECT_EQ(local.docCount(), before + 8);
 }
 
@@ -465,6 +465,25 @@ TEST_F(SqlWorld, BetweenErrorPaths)
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("expected integer after AND"),
               std::string::npos);
+}
+
+TEST_F(SqlWorld, OneSidedComparisonsAreParseErrors)
+{
+    // The grammar emits =, = ANY, BETWEEN and IS [NOT] NULL, and the
+    // scan kernels (engine/kernels.hh) cover exactly those; a one-sided
+    // range is written as BETWEEN with an open end.
+    adaptive::Params prm;
+    prm.background = false;
+    prm.adapt = false;
+    adaptive::AdaptiveEngine eng(*data, {}, prm);
+    for (const char *op : {">", "<", "<>"}) {
+        RunResult r = runStatement(
+            eng, std::string("SELECT * FROM nobench_main WHERE num ") +
+                     op + " 0");
+        EXPECT_FALSE(r.ok) << op;
+        EXPECT_EQ(r.errorKind, RunResult::Error::Parse)
+            << op << ": " << r.error;
+    }
 }
 
 TEST_F(SqlWorld, UnknownGroupByColumnIsAnError)
