@@ -29,9 +29,10 @@ run(int argc, char **argv)
     size_t batch = std::max<size_t>(1000, opt.docs / 10);
     Rng rng(opt.seed + 20);
     nobench::appendDocs(engines.config(), engines.data(), rng, batch);
-    std::vector<storage::Document> payload(
-        engines.data().docs.end() - static_cast<long>(batch),
-        engines.data().docs.end());
+    const storage::DocStore &docs = engines.data().docs;
+    std::vector<storage::Document> payload;
+    for (size_t i = docs.size() - batch; i < docs.size(); ++i)
+        payload.push_back(docs[i]);
     engine::Query q12 = engines.querySet().insertQuery(&payload);
 
     TablePrinter t({"Engine", "batch [ms]", "docs/s",

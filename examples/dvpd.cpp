@@ -18,9 +18,9 @@
  *     --max-inflight N      admission watermark     (default 64)
  *     --idle-timeout-ms N   reap idle sessions; 0 = never (default 0)
  *     --allow-load          permit LOAD DATA of server-local files
- *     --allow-insert        permit INSERT statements (writes go to the
- *                           engine's delta store; readers keep their
- *                           snapshot)
+ *     --allow-insert        permit INSERT statements (writes append
+ *                           past the engine's base partitions; readers
+ *                           keep their snapshot)
  *     --threads N           executor lanes per query (default 1)
  *     --load-threads N      parser lanes for LOAD DATA (default 4)
  *     --http-port P         serve GET /metrics and /healthz over HTTP

@@ -5,7 +5,8 @@
  * Loads newline-delimited JSON, accepts the Table III SQL dialect, and
  * exposes the layout machinery through backslash commands:
  *
- *   \load <file>     ingest a JSON-lines file
+ *   \load <file>     ingest a JSON-lines file (all or nothing: a bad
+ *                    line ingests no document)
  *   \gen <n>         ingest n synthetic NoBench documents
  *   \layout          show the current partitions
  *   \stats           show workload statistics
@@ -31,14 +32,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "adaptive/adaptive_engine.hh"
 #include "obs/export.hh"
-#include "engine/load.hh"
 #include "nobench/generator.hh"
 #include "persist/snapshot.hh"
 #include "sql/run.hh"
@@ -161,51 +160,18 @@ class Shell
         built_attrs = data.catalog.attrCount();
     }
 
-    /** Ingest a JSON-lines file; the dispatch-layer LOAD handler. */
-    sql::LoadOutcome
-    loadFile(const std::string &path)
-    {
-        sql::LoadOutcome out;
-        std::ifstream in(path);
-        if (!in) {
-            out.error = "cannot open '" + path + "'";
-            return out;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        Timer t;
-        // Tape-parse (DOM-free) and ingest through the flat fast
-        // path; documents before a bad line are kept, as before.
-        dvp::engine::LoadOptions opt;
-        size_t docs = 0;
-        std::string err = dvp::engine::parseNdjsonFlat(
-            buf.str(), opt, nullptr,
-            [&](const std::vector<json::FlatAttr> &flat) {
-                engine->ingestFlat(flat);
-                ++docs;
-            });
-        if (!err.empty())
-            std::printf("parse error: %s (loaded %zu docs before it)\n",
-                        err.c_str(), docs);
-        char msg[128];
-        std::snprintf(msg, sizeof(msg),
-                      "ingested %zu documents in %.1f ms (%zu "
-                      "attributes known)",
-                      docs, t.milliseconds(),
-                      data.catalog.attrCount());
-        out.message = msg;
-        return out;
-    }
-
-    /** \load verb: run the handler and print its outcome. */
+    /**
+     * \load verb: the dispatch layer's LOAD (sql::loadFile, all or
+     * nothing on a parse error), then print its outcome.
+     */
     void
     loadAndReport(const std::string &path)
     {
-        sql::LoadOutcome out = loadFile(path);
-        if (!out.error.empty())
-            std::printf("error: %s\n", out.error.c_str());
+        sql::RunResult r = sql::loadFile(*engine, path);
+        if (!r.ok)
+            std::printf("error: %s\n", r.error.c_str());
         else
-            std::printf("%s\n", out.message.c_str());
+            std::printf("%s\n", r.message.c_str());
     }
 
     void
@@ -269,9 +235,8 @@ class Shell
     execute(const std::string &text)
     {
         ensureFresh();
-        sql::RunResult r = sql::runStatement(
-            *engine, text,
-            [this](const std::string &path) { return loadFile(path); });
+        const engine::LoadOptions load;
+        sql::RunResult r = sql::runStatement(*engine, text, &load);
         if (!r.ok) {
             std::printf("error: %s\n", r.error.c_str());
             return;
@@ -441,7 +406,9 @@ main(int argc, char **argv)
                 break;
             if (verb == "help") {
                 std::printf(
-                    "  \\load <file>   \\gen <n>   \\layout   \\stats\n"
+                    "  \\load <file> (all or nothing: a bad line "
+                    "ingests no document)\n"
+                    "  \\gen <n>   \\layout   \\stats\n"
                     "  \\repartition   \\explain <sql>   "
                     "\\explain+ <sql> (EXPLAIN ANALYZE)\n"
                     "  \\save <file>   \\open <file>   \\quit\n");

@@ -392,6 +392,11 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-tsan -j "$JOBS"
 DVP_TEST_DOCS=800 ctest --test-dir build-tsan --output-on-failure \
     -j "$JOBS"
+# The ingest tests again, three times: readers scan DataSet::docs
+# lock-free while writers append and folds cut it, so more runs see
+# more interleavings.
+DVP_TEST_DOCS=800 ctest --test-dir build-tsan --output-on-failure \
+    -R test_ingest --repeat until-fail:3
 
 echo "=== address + undefined-behaviour sanitizer build ==="
 # The whole suite under ASan+UBSan: lifetime bugs such as a snapshot

@@ -23,10 +23,8 @@ AdaptiveEngine::AdaptiveEngine(engine::DataSet &data,
     adapt_stats.lastLayoutTables = res.layout.partitionCount();
     Timer build;
     db = std::make_shared<engine::Database>(data, res.layout, "DVP",
-                                            /*allow_pad=*/true, nullptr,
+                                            /*allow_pad=*/true, SIZE_MAX,
                                             prm.compress);
-    delta_ = std::make_shared<storage::DeltaStore>(
-        static_cast<int64_t>(data.docs.size()));
 
     AuditRecord rec;
     rec.trigger = "initial";
@@ -52,19 +50,12 @@ AdaptiveEngine::AdaptiveEngine(RestoreTag, engine::DataSet &data,
     // docs[0, baseDocs) only reference attributes the logged layout
     // covers (the swap that committed it grew singleton partitions
     // for every catalog attribute), so the bulk build loses no cells;
-    // later documents go to the delta exactly as before the crash.
+    // later documents are the delta exactly as before the crash.
     Timer build;
-    std::vector<storage::Document> base_docs(
-        data.docs.begin(),
-        data.docs.begin() + static_cast<ptrdiff_t>(r.baseDocs));
     db = std::make_shared<engine::Database>(data, r.layout, "DVP",
                                             /*allow_pad=*/true,
-                                            &base_docs, prm.compress);
+                                            r.baseDocs, prm.compress);
     db->adoptEpoch(r.epoch);
-    delta_ = std::make_shared<storage::DeltaStore>(
-        static_cast<int64_t>(r.baseDocs));
-    for (size_t i = r.baseDocs; i < data.docs.size(); ++i)
-        delta_->append(data.docs[i]);
     adapt_stats.lastLayoutTables = r.layout.partitionCount();
 
     AuditRecord rec;
@@ -99,10 +90,13 @@ AdaptiveEngine::checkpointCut()
     auto dlock = data->readLock(); // lock order: db_mutex, then mu
     durability::CheckpointCut cut;
     // Ingest (doc append + WAL append) happens entirely under
-    // db_mutex, so the copied documents and the WAL position agree
-    // exactly: every logged record <= walLsn is in the copy, nothing
-    // newer is.
-    cut.data = *data;
+    // db_mutex, so the document count and the WAL position agree
+    // exactly: every logged record <= walLsn is in docs[0, docCount),
+    // nothing newer is.  No document is copied.
+    cut.catalog = data->catalog;
+    cut.dict = data->dict;
+    cut.docs = &data->docs;
+    cut.docCount = data->docs.size();
     cut.layout = db->layout();
     cut.epoch = db->epoch();
     cut.baseDocs = db->docCount();
@@ -142,25 +136,17 @@ AdaptiveEngine::snapshot() const
 Snapshot
 AdaptiveEngine::snapshotFull() const
 {
-    // Appends and swaps both happen under db_mutex, so (base, delta,
-    // delta->size()) read here is a consistent cut: every delta row in
-    // the prefix is fully published and no base document is counted
-    // twice.  Rows appended after this snapshot exist in the store but
-    // stay invisible to the query — the prefix is immutable.
+    // Appends and swaps both happen under db_mutex, so (base, docs
+    // size) read here is a consistent cut: every row of the prefix is
+    // fully published and the base holds exactly its first
+    // base->docCount() rows.  Rows appended after this snapshot exist
+    // in the store but stay invisible to the query.
     std::lock_guard<std::mutex> lock(db_mutex);
     Snapshot snap;
     snap.base = db;
-    snap.delta = delta_;
-    snap.deltaRows = delta_->size();
+    snap.docs = data->docs.size();
     snap.epoch = db->epoch();
     return snap;
-}
-
-size_t
-AdaptiveEngine::deltaRows() const
-{
-    std::lock_guard<std::mutex> lock(db_mutex);
-    return delta_->size();
 }
 
 void
@@ -177,11 +163,10 @@ engine::ResultSet
 AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
 {
     // One snapshot per query, not per morsel: the executor's lanes all
-    // scan the same tables, and the shared_ptrs keep both the base and
-    // the delta alive even if a background repartition swaps the
-    // engine's pointers mid-query.  The delta prefix length pins the
-    // visibility cut, so concurrent ingest never perturbs a running
-    // query's result.
+    // scan the same tables, and the shared_ptr keeps the base alive
+    // even if a background repartition swaps the engine's pointer
+    // mid-query.  The visible document count pins the cut, so
+    // concurrent ingest never perturbs a running query's result.
     Snapshot snap = snapshotFull();
     if (repartitioning.load(std::memory_order_relaxed)) {
         ++adapt_stats.queriesDuringRepartition;
@@ -190,11 +175,11 @@ AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
     Timer timer;
     engine::Executor exec(*snap.base, threads());
     exec.setMorselRows(morselRows());
-    exec.setDelta(snap.delta.get(), snap.deltaRows);
+    exec.setVisibleDocs(snap.docs);
     engine::ResultSet rs = exec.run(q, stats);
     double seconds = timer.seconds();
 
-    uint64_t scanned = snap.base->docCount() + snap.deltaRows;
+    uint64_t scanned = snap.docs;
     bool changed = false;
     {
         std::lock_guard<std::mutex> lock(stats_mutex);
@@ -215,33 +200,21 @@ AdaptiveEngine::execute(const engine::Query &q, engine::QueryStats *stats)
 int64_t
 AdaptiveEngine::ingest(const json::JsonValue &doc)
 {
-    return ingestMany(&doc, 1).lastOid;
+    return ingestFlatBatch({json::flatten(doc)}).lastOid;
 }
 
 IngestAck
 AdaptiveEngine::ingestBatch(const std::vector<json::JsonValue> &docs)
-{
-    return ingestMany(docs.data(), docs.size());
-}
-
-IngestAck
-AdaptiveEngine::ingestMany(const json::JsonValue *docs, size_t n)
 {
     // Pre-flatten outside every lock and delegate: encode(flatten(d))
     // is exactly what addObject runs, and the flat form is what the
     // WAL logs, so both ingest surfaces produce identical log records
     // and identical replay.
     std::vector<std::vector<json::FlatAttr>> flats;
-    flats.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        flats.push_back(json::flatten(docs[i]));
+    flats.reserve(docs.size());
+    for (const json::JsonValue &doc : docs)
+        flats.push_back(json::flatten(doc));
     return ingestFlatBatch(flats);
-}
-
-int64_t
-AdaptiveEngine::ingestFlat(const std::vector<json::FlatAttr> &flat)
-{
-    return ingestFlatBatch({flat}).lastOid;
 }
 
 IngestAck
@@ -249,9 +222,9 @@ AdaptiveEngine::ingestFlatBatch(
     const std::vector<std::vector<json::FlatAttr>> &docs)
 {
     IngestAck ack;
-    std::shared_ptr<storage::DeltaStore> delta;
-    size_t first_idx = 0;
+    size_t first = 0;
     size_t pending = 0;
+    uint64_t pending_bytes = 0;
     // Encode the WAL body outside the lock (it only reads the
     // caller's documents); the append itself must happen under
     // db_mutex so the log order equals the apply order.
@@ -262,16 +235,14 @@ AdaptiveEngine::ingestFlatBatch(
     uint64_t lsn = 0;
     {
         std::lock_guard<std::mutex> lock(db_mutex);
-        delta = delta_;
-        first_idx = delta->size();
-        for (const auto &flat : docs) {
+        first = data->docs.size();
+        for (const auto &flat : docs)
             ack.lastOid = data->addFlat(flat);
-            delta->append(data->docs.back());
-        }
-        pending = delta->size();
         ack.count = docs.size();
         ack.totalDocs = data->docs.size();
         ack.epoch = db->epoch();
+        pending = ack.totalDocs - db->docCount();
+        pending_bytes = data->docs.bytes(db->docCount(), ack.totalDocs);
         if (log)
             lsn = dur_->logIngest(wal_body);
     }
@@ -282,31 +253,20 @@ AdaptiveEngine::ingestFlatBatch(
         if (!err.empty())
             ack.walError = std::move(err);
     }
-    return finishIngest(ack, std::move(delta), first_idx, pending,
-                        docs.size());
-}
-
-IngestAck
-AdaptiveEngine::finishIngest(IngestAck ack,
-                             std::shared_ptr<storage::DeltaStore> delta,
-                             size_t first_idx, size_t pending, size_t n)
-{
-    if (n == 0)
+    if (docs.empty())
         return ack;
-    DVP_COUNTER_ADD("dvp_inserts_total", n);
+    DVP_COUNTER_ADD("dvp_inserts_total", docs.size());
     DVP_GAUGE_SET("dvp_delta_rows", static_cast<int64_t>(pending));
-    DVP_GAUGE_SET("dvp_delta_bytes",
-                  static_cast<int64_t>(delta->bytes()));
+    DVP_GAUGE_SET("dvp_delta_bytes", static_cast<int64_t>(pending_bytes));
 
     // Feed the change detector's data-drift windows.  The appended
-    // rows are immutable, so reading them back through the captured
-    // shared_ptr is race-free even if a fold swaps the engine's delta
-    // meanwhile.
+    // rows never move, so reading them back without the lock is
+    // race-free even if a fold swaps the base meanwhile.
     bool changed = false;
     if (prm.adapt) {
         std::lock_guard<std::mutex> lock(stats_mutex);
-        for (size_t i = first_idx; i < pending; ++i)
-            if (detector.observeIngest(delta->doc(i)))
+        for (size_t i = first; i < ack.totalDocs; ++i)
+            if (detector.observeIngest(data->docs[i]))
                 changed = true;
     }
     if (changed) {
@@ -334,7 +294,7 @@ AdaptiveEngine::maybeRepartition(const std::string &trigger)
         std::lock_guard<std::mutex> lock(stats_mutex);
         workload = wstats.representatives();
     }
-    if (workload.empty() && deltaRows() == 0) {
+    if (workload.empty() && snapshotFull().deltaRows() == 0) {
         repartitioning.store(false);
         return;
     }
@@ -361,23 +321,23 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     DVP_TRACE_SPAN(repartition_span, "repartition", nullptr);
     Timer total;
 
-    // All shared state the rebuild needs is snapshotted up front: the
-    // cost model copies the catalog statistics, and the documents are
-    // copied under the lock so ingest can proceed concurrently.  The
+    // All shared state the rebuild needs is cut up front: the cost
+    // model copies the catalog statistics, and the documents are the
+    // prefix docs[0, cut_docs), which ingest never touches again.  The
     // expensive work below (search + bulk table build) then runs on
-    // stable private data.  The document snapshot already contains the
-    // delta tail (the delta mirrors data->docs' suffix), so building
-    // from it IS the fold — delta rows land in the fresh partitions.
+    // stable data without the lock.  The prefix already contains the
+    // delta, so building from it IS the fold — delta rows land in the
+    // fresh partitions.
     layout::Layout current_layout;
-    std::vector<storage::Document> doc_snapshot;
     std::unique_ptr<core::Partitioner> partitioner;
+    size_t cut_docs = 0;
     size_t old_base_docs = 0;
     size_t catalog_width = 0;
     {
         std::lock_guard<std::mutex> lock(db_mutex);
         auto dlock = data->readLock(); // lock order: db_mutex, then mu
         current_layout = db->layout();
-        doc_snapshot = data->docs;
+        cut_docs = data->docs.size();
         old_base_docs = db->docCount();
         catalog_width = data->catalog.attrCount();
         // The partitioner's cost model copies the catalog statistics,
@@ -415,12 +375,12 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
             res.layout = layout::Layout(std::move(parts));
     }
 
-    // Bulk-build the new tables from the snapshot.
+    // Bulk-build the new tables from the cut.
     Timer build_timer;
     auto fresh = [&] {
         DVP_TRACE_SPAN(build_span, "build", "bulk-build tables");
         return std::make_shared<engine::Database>(
-            *data, res.layout, "DVP", /*allow_pad=*/true, &doc_snapshot,
+            *data, res.layout, "DVP", /*allow_pad=*/true, cut_docs,
             prm.compress);
     }();
     double build_seconds = build_timer.seconds();
@@ -430,7 +390,7 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
     // query in flight keeps its tables alive).  A document carrying an
     // attribute the new layout has no partition for (born during the
     // build) must not lose cells to the fold — it and everything after
-    // it stay in the successor delta instead.
+    // it stay past the new base, in the delta.
     Timer swap_timer;
     uint64_t caught_up = 0;
     uint64_t folded = 0;
@@ -441,8 +401,8 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
         DVP_TRACE_SPAN(swap_span, "swap", "catch-up + pointer swap");
         std::lock_guard<std::mutex> lock(db_mutex);
         auto dlock = data->readLock(); // lock order: db_mutex, then mu
-        size_t i = fresh->docCount();
-        for (; i < data->docs.size(); ++i) {
+        const size_t n = data->docs.size();
+        for (size_t i = fresh->docCount(); i < n; ++i) {
             const storage::Document &doc = data->docs[i];
             if (!doc.attrs.empty() &&
                 doc.attrs.back().first >= catalog_width)
@@ -450,15 +410,10 @@ AdaptiveEngine::repartitionNow(std::vector<engine::Query> workload,
             fresh->insert(doc);
             ++caught_up;
         }
-        auto successor = std::make_shared<storage::DeltaStore>(
-            static_cast<int64_t>(i));
-        for (; i < data->docs.size(); ++i)
-            successor->append(data->docs[i]);
-        new_delta_rows = successor->size();
-        new_delta_bytes = successor->bytes();
+        new_delta_rows = n - fresh->docCount();
+        new_delta_bytes = data->docs.bytes(fresh->docCount(), n);
         folded = fresh->docCount() - old_base_docs;
         db = std::move(fresh);
-        delta_ = std::move(successor);
         adapt_stats.lastLayoutTables = res.layout.partitionCount();
         ++adapt_stats.repartitions;
         // Log the committed swap inside the same critical section so

@@ -34,7 +34,6 @@
 #include "engine/query.hh"
 #include "stats/change_detector.hh"
 #include "stats/workload_stats.hh"
-#include "storage/delta.hh"
 
 namespace dvp::adaptive
 {
@@ -68,10 +67,10 @@ struct Params
     bool compress = false;
 
     /**
-     * Fold the INSERT delta store into fresh partitions once it holds
-     * this many rows (an LSM-style compaction riding the repartition
-     * machinery; the layout is kept when no workload drift was
-     * observed).  0 disables the size trigger — the delta then drains
+     * Fold the INSERT delta (the documents past the base partitions)
+     * into fresh partitions once it holds this many rows (an
+     * LSM-style compaction riding the repartition machinery; the
+     * layout is kept when no workload drift was observed).  0 disables the size trigger — the delta then drains
      * only at workload- or drift-triggered repartitions.
      */
     size_t deltaFoldRows = 4096;
@@ -121,20 +120,22 @@ struct AuditRecord
 };
 
 /**
- * A consistent read snapshot of the engine: the epoch-stamped base
- * partitions plus an immutable prefix of the INSERT delta tail.  Every
- * query runs against one of these, so writers never block readers and
- * a query's result is a function of the cut alone — the same documents
- * are visible whether they sit in the delta or were folded into the
- * partitions since.  The shared_ptrs keep both sides alive across a
- * concurrent repartition swap.
+ * A consistent read snapshot: the epoch-stamped base partitions, which
+ * hold data.docs[0, base->docCount()), plus a visible document count
+ * n; the rows [base->docCount(), n) are the INSERT delta at this cut.
+ * Every query runs against one, so writers never block readers and a
+ * result is a function of the cut alone, whether its documents sit in
+ * the delta or were folded since.  The shared_ptr keeps the base alive
+ * across a concurrent repartition swap.
  */
 struct Snapshot
 {
     std::shared_ptr<engine::Database> base;
-    std::shared_ptr<storage::DeltaStore> delta;
-    size_t deltaRows = 0; ///< visible prefix of the delta tail
-    uint64_t epoch = 0;   ///< base->epoch() shorthand
+    size_t docs = 0;    ///< visible documents: data.docs[0, docs)
+    uint64_t epoch = 0; ///< base->epoch() shorthand
+
+    /** Visible rows past the base: the delta at this cut. */
+    size_t deltaRows() const { return docs - base->docCount(); }
 };
 
 /** Acknowledgement for an ingest batch (surfaced in INSERT acks). */
@@ -180,7 +181,7 @@ class AdaptiveEngine
      * Rebuild an engine from durably recovered state: the base
      * partitions are built from docs[0, baseDocs) under the committed
      * layout (no partitioner run), the epoch is adopted verbatim, and
-     * docs[baseDocs, ...) become the INSERT delta — exactly the state
+     * docs[baseDocs, ...) are the INSERT delta — exactly the state
      * the pre-crash process was serving.  A static factory rather
      * than a constructor so existing `AdaptiveEngine e(data, {},
      * params)` call sites stay unambiguous.
@@ -204,25 +205,21 @@ class AdaptiveEngine
                               engine::QueryStats *stats = nullptr);
 
     /**
-     * Ingest one new document: encode + append to the row-major delta
-     * store, never touching the sealed partitions.  Readers observe it
-     * on their next snapshot; the delta drains into fresh partitions
-     * at the next repartition (fold).  @return the document's oid.
+     * Ingest one new document: encode + append to the row store past
+     * the base, never touching the sealed partitions.  Readers observe
+     * it on their next snapshot; the delta drains into fresh
+     * partitions at the next repartition (fold).  @return its oid.
      */
     int64_t ingest(const json::JsonValue &doc);
 
-    /** Batch form of ingest(): one lock acquisition for all docs. */
+    /** Batch form of ingest(): flattens, then ingestFlatBatch(). */
     IngestAck ingestBatch(const std::vector<json::JsonValue> &docs);
 
     /**
-     * Ingest one pre-flattened document (the tape-parser fast path:
-     * no JsonValue tree exists).  Semantics are identical to
-     * ingest(flatten-equivalent doc): delta append, drift windows,
-     * fold trigger.  @return the document's oid.
+     * Ingest pre-flattened documents (the tape-parser fast path: no
+     * JsonValue tree exists) under one lock acquisition and one WAL
+     * record: delta append, drift windows, fold trigger.
      */
-    int64_t ingestFlat(const std::vector<json::FlatAttr> &flat);
-
-    /** Batch form of ingestFlat(): one lock acquisition for all. */
     IngestAck ingestFlatBatch(
         const std::vector<std::vector<json::FlatAttr>> &docs);
 
@@ -230,14 +227,11 @@ class AdaptiveEngine
     std::shared_ptr<engine::Database> snapshot() const;
 
     /**
-     * Consistent read snapshot: base partitions + the immutable delta
-     * tail prefix appended so far.  This is the cut every execute()
+     * Consistent read snapshot: base partitions + the count of
+     * documents appended so far.  This is the cut every execute()
      * call queries.
      */
     Snapshot snapshotFull() const;
-
-    /** Delta rows currently pending a fold (monitoring/tests). */
-    size_t deltaRows() const;
 
     /** Wait for any in-flight background repartition to finish. */
     void quiesce();
@@ -282,7 +276,9 @@ class AdaptiveEngine
      * Attach a durability manager: every ingest batch is WAL-logged
      * before it is acknowledged and every layout swap writes a Swap
      * record; the manager's checkpoint cut provider is bound to
-     * checkpointCut().  Call once, before serving traffic.
+     * checkpointCut().  Call once, before serving traffic.  The data
+     * set must outlive @p dur: a checkpoint reads its documents in
+     * place after the cut.
      */
     void setDurability(durability::Manager *dur);
 
@@ -290,12 +286,11 @@ class AdaptiveEngine
     durability::Manager *durability() const { return dur_; }
 
     /**
-     * A consistent checkpoint cut: a private copy of the data set
-     * plus {layout, epoch, baseDocs, walLsn} taken under the ingest
-     * lock, so the WAL position exactly covers the copied documents.
-     * The pause is the copy itself — the same order of stall as the
-     * existing repartition snapshot, and far shorter than a blocking
-     * serialize-to-disk would be.
+     * A consistent checkpoint cut: a copy of the catalog and
+     * dictionary, the document count n, and {layout, epoch, baseDocs,
+     * walLsn}, taken under the ingest lock so the WAL position exactly
+     * covers docs[0, n).  No document is copied: the checkpoint reads
+     * that prefix of the append-only store in place.
      */
     durability::CheckpointCut checkpointCut();
 
@@ -309,10 +304,6 @@ class AdaptiveEngine
     void repartitionNow(std::vector<engine::Query> workload,
                         std::string trigger);
     void pushAudit(AuditRecord rec);
-    IngestAck ingestMany(const json::JsonValue *docs, size_t n);
-    IngestAck finishIngest(IngestAck ack,
-                           std::shared_ptr<storage::DeltaStore> delta,
-                           size_t first_idx, size_t pending, size_t n);
 
     engine::DataSet *data;
     Params prm;
@@ -322,7 +313,6 @@ class AdaptiveEngine
 
     mutable std::mutex db_mutex;   ///< guards db swaps and doc appends
     std::shared_ptr<engine::Database> db;
-    std::shared_ptr<storage::DeltaStore> delta_; ///< swap under db_mutex
 
     /**
      * Guards the statistics collector and change detector.  execute()

@@ -382,14 +382,16 @@ Manager::checkpointNow()
     Timer timer;
 
     // The cut is the only step that touches engine locks; everything
-    // below runs on a private copy while serving continues.
+    // below runs on the cut's catalog/dictionary copies and the frozen
+    // document prefix while serving continues.
     CheckpointCut cut = cut_();
     persist::SnapshotMeta meta;
     meta.epoch = cut.epoch;
     meta.baseDocs = cut.baseDocs;
     meta.walLsn = cut.walLsn;
     std::string image =
-        persist::serialize(cut.data, &cut.layout, &meta);
+        persist::serialize(cut.catalog, cut.dict, *cut.docs,
+                           cut.docCount, &cut.layout, &meta);
     std::string file = snapshotFileName(cut.walLsn);
     std::string err = atomicWriteFile(cfg_.dir + "/" + file, image);
     if (!err.empty()) {
@@ -428,7 +430,7 @@ Manager::checkpointNow()
                              std::memory_order_relaxed);
     res.ok = true;
     res.snapshotFile = file;
-    res.docs = cut.data.docs.size();
+    res.docs = cut.docCount;
     res.walLsn = cut.walLsn;
     res.bytes = image.size();
     res.seconds = timer.seconds();

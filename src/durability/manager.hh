@@ -81,13 +81,16 @@ struct RecoveryInfo
 };
 
 /**
- * A consistent view to checkpoint: a private copy of the data plus
- * the layout state and the WAL position it folds.  Produced by the
- * engine under its ingest lock (see AdaptiveEngine::checkpointCut).
+ * A consistent view to checkpoint (AdaptiveEngine::checkpointCut):
+ * catalog and dictionary copies, the prefix (*docs)[0, docCount) of
+ * the live row store, the layout state and the WAL position it folds.
  */
 struct CheckpointCut
 {
-    engine::DataSet data;
+    storage::Catalog catalog;
+    storage::Dictionary dict;
+    const storage::DocStore *docs = nullptr;
+    uint64_t docCount = 0;
     layout::Layout layout;
     uint64_t epoch = 0;
     uint64_t baseDocs = 0;

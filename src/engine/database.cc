@@ -1,7 +1,9 @@
 #include "engine/database.hh"
 
+#include <algorithm>
 #include <atomic>
 
+#include "json/flatten.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/timer.hh"
@@ -12,13 +14,7 @@ namespace dvp::engine
 int64_t
 DataSet::addObject(const json::JsonValue &doc)
 {
-    std::unique_lock<std::shared_mutex> g(mu);
-    storage::Encoder enc(catalog, dict);
-    // Encoder oid assignment restarts per call; keep docs authoritative.
-    storage::Document d = enc.encodeObject(doc);
-    d.oid = static_cast<int64_t>(docs.size());
-    docs.push_back(std::move(d));
-    return docs.back().oid;
+    return addFlat(json::flatten(doc)); // what Encoder::encodeObject runs
 }
 
 int64_t
@@ -26,6 +22,7 @@ DataSet::addFlat(const std::vector<json::FlatAttr> &flat)
 {
     std::unique_lock<std::shared_mutex> g(mu);
     storage::Encoder enc(catalog, dict);
+    // Encoder oid assignment restarts per call; keep docs authoritative.
     storage::Document d = enc.encode(flat);
     d.oid = static_cast<int64_t>(docs.size());
     docs.push_back(std::move(d));
@@ -40,8 +37,7 @@ static std::atomic<uint64_t> next_epoch{1};
 
 Database::Database(const DataSet &data, layout::Layout layout,
                    std::string name, bool allow_pad,
-                   const std::vector<storage::Document> *docs_override,
-                   bool compress)
+                   size_t count, bool compress)
     : data_(&data), layout_(std::move(layout)), name_(std::move(name)),
       compress_(compress)
 {
@@ -68,9 +64,9 @@ Database::Database(const DataSet &data, layout::Layout layout,
                                       static_cast<int>(c)};
     }
 
-    const auto &docs = docs_override ? *docs_override : data.docs;
-    for (const auto &doc : docs)
-        insert(doc);
+    count = std::min(count, data.docs.size());
+    for (size_t i = 0; i < count; ++i)
+        insert(data.docs[i]);
 
     build_seconds = timer.seconds();
     publishFootprint();

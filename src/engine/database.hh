@@ -13,6 +13,7 @@
 #ifndef DVP_ENGINE_DATABASE_HH
 #define DVP_ENGINE_DATABASE_HH
 
+#include <cstdint>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -21,6 +22,7 @@
 #include "layout/layout.hh"
 #include "storage/catalog.hh"
 #include "storage/dictionary.hh"
+#include "storage/doc_store.hh"
 #include "storage/encoder.hh"
 #include "storage/table.hh"
 #include "util/arena.hh"
@@ -31,39 +33,28 @@ namespace dvp::engine
 /**
  * Layout-independent data: catalog + dictionary + encoded documents.
  *
- * Live ingest makes the catalog, dictionary, and document vector grow
+ * Live ingest makes the catalog, dictionary, and document store grow
  * while other threads parse statements or decode result cells against
  * them, so DataSet carries its own reader/writer lock: addObject /
- * addFlat take it exclusively themselves; concurrent readers that walk
- * docs or resolve names/strings hold readLock() for the duration of
- * the walk.  Lock order: engine db_mutex before DataSet::mu — never
- * acquire db_mutex while holding a DataSet lock.
+ * addFlat take it exclusively themselves; concurrent readers that
+ * resolve names/strings hold readLock() for the duration.  Reading
+ * docs needs no lock (storage::DocStore publishes rows lock-free).
+ * Lock order: engine db_mutex before DataSet::mu — never acquire
+ * db_mutex while holding a DataSet lock.  Nothing copies a DataSet:
+ * every cut is a document count into the one store.
  */
 struct DataSet
 {
     storage::Catalog catalog;
     storage::Dictionary dict;
-    std::vector<storage::Document> docs;
+    storage::DocStore docs;
 
     /** Guards catalog/dict/docs growth against concurrent readers. */
     mutable std::shared_mutex mu;
 
     DataSet() = default;
-
-    /** Copies duplicate the data only; the lock is never shared. */
-    DataSet(const DataSet &o)
-        : catalog(o.catalog), dict(o.dict), docs(o.docs)
-    {
-    }
-
-    DataSet &
-    operator=(const DataSet &o)
-    {
-        catalog = o.catalog;
-        dict = o.dict;
-        docs = o.docs;
-        return *this;
-    }
+    DataSet(const DataSet &) = delete;
+    DataSet &operator=(const DataSet &) = delete;
 
     /** Moves transfer the data only; each DataSet owns a fresh lock. */
     DataSet(DataSet &&o) noexcept
@@ -109,9 +100,9 @@ class Database
      * Build tables for @p layout and populate them from @p data.
      * @param name engine name for reports ("DVP", "row", ...).
      * @param allow_pad enable the §IV narrow-padding decision.
-     * @param docs_override populate from this snapshot instead of
-     *        data.docs (used by background repartitioning, which must
-     *        not race the live document vector).
+     * @param count populate from the cut data.docs[0, count) (clamped
+     *        to the store's size); background repartitioning reads
+     *        that prefix lock-free while ingest appends past it.
      * @param compress seal every full 2048-row block of every table
      *        into compressed column blocks (storage/compress.hh); the
      *        timing executor evaluates predicates on the compressed
@@ -119,9 +110,7 @@ class Database
      *        record pointers.
      */
     Database(const DataSet &data, layout::Layout layout, std::string name,
-             bool allow_pad = true,
-             const std::vector<storage::Document> *docs_override =
-                 nullptr,
+             bool allow_pad = true, size_t count = SIZE_MAX,
              bool compress = false);
 
     /** Number of documents inserted so far. */

@@ -77,11 +77,10 @@ class Exec
   public:
     Exec(Database &db, const PhysicalPlan &plan, Tracer tr,
          size_t threads, size_t morsel_rows, bool vectorized,
-         const storage::DeltaStore *delta = nullptr,
          size_t delta_rows = 0)
         : db(db), plan(plan), tr(tr), threads(threads),
           morsel_rows(morsel_rows), vectorized(vectorized),
-          delta(delta), delta_rows(delta == nullptr ? 0 : delta_rows)
+          delta_rows(delta_rows)
     {
     }
 
@@ -156,7 +155,7 @@ class Exec
         if (deltaActive())
             nbase = static_cast<size_t>(
                 std::lower_bound(matches.begin(), matches.end(),
-                                 delta->firstOid()) -
+                                 deltaFirst()) -
                 matches.begin());
         ResultSet rs(retrieveWidth());
         rs.reserveRows(matches.size());
@@ -220,7 +219,7 @@ class Exec
         const std::vector<AttrId> &attrs = plan.delta.attrs;
         std::vector<Slot> row(attrs.size(), kNullSlot);
         for (size_t i = 0; i < delta_rows; ++i) {
-            const storage::Document &doc = delta->doc(i);
+            const storage::Document &doc = deltaDoc(i);
             countRows(1);
             countDelta();
             bool any = false;
@@ -315,7 +314,7 @@ class Exec
         const Condition &c = q.cond;
         const FilterScanOp &f = plan.filter;
         for (size_t i = 0; i < delta_rows; ++i) {
-            const storage::Document &doc = delta->doc(i);
+            const storage::Document &doc = deltaDoc(i);
             countRows(1);
             countDelta();
             if (doc.attrs.empty())
@@ -378,7 +377,7 @@ class Exec
         if (deltaActive())
             nbase = static_cast<size_t>(
                 std::lower_bound(left.begin(), left.end(),
-                                 delta->firstOid()) -
+                                 deltaFirst()) -
                 left.begin());
         std::unordered_multimap<Slot, int64_t> build;
         if (jn.buildTable >= 0) {
@@ -396,8 +395,7 @@ class Exec
         }
         for (size_t i = nbase; i < left.size(); ++i) {
             const storage::Document &doc =
-                delta->doc(static_cast<size_t>(left[i] -
-                                               delta->firstOid()));
+                deltaDoc(static_cast<size_t>(left[i] - deltaFirst()));
             Slot key = doc.slotOf(q.joinLeftAttr);
             if (!isNull(key))
                 build.emplace(key, left[i]);
@@ -430,7 +428,7 @@ class Exec
         if (deltaActive()) {
             DVP_TRACE_SPAN(dprobe_span, "scan", "delta join probe");
             for (size_t i = 0; i < delta_rows; ++i) {
-                const storage::Document &doc = delta->doc(i);
+                const storage::Document &doc = deltaDoc(i);
                 countRows(1);
                 countDelta();
                 Slot key = doc.slotOf(q.joinRightAttr);
@@ -447,9 +445,9 @@ class Exec
         DVP_TRACE_SPAN(retrieve_span, "retrieve", "join materialize");
         for (auto [loid, roid] : pairs) {
             for (int64_t oid : {loid, roid}) {
-                if (deltaActive() && oid >= delta->firstOid()) {
-                    const storage::Document &doc = delta->doc(
-                        static_cast<size_t>(oid - delta->firstOid()));
+                if (deltaActive() && oid >= deltaFirst()) {
+                    const storage::Document &doc = deltaDoc(
+                        static_cast<size_t>(oid - deltaFirst()));
                     countTouch();
                     for (const auto &[a, s] : doc.attrs)
                         if (!isNull(s))
@@ -496,12 +494,12 @@ class Exec
     size_t morsel_rows; ///< driving-table rows per morsel
     bool vectorized;    ///< use the batched kernels (timing path only)
 
-    // Snapshot delta tail (live ingest, DESIGN.md §16).  Only the
+    // Snapshot delta (live ingest, DESIGN.md §16): the rows
+    // data.docs[db.docCount(), db.docCount() + delta_rows).  Only the
     // top-level Exec carries it: lanes fork without a delta, so the
     // (serial) delta merge happens exactly once per query and work
     // counters stay deterministic across thread counts.
-    const storage::DeltaStore *delta; ///< may be null
-    size_t delta_rows;                ///< immutable tail prefix length
+    size_t delta_rows; ///< visible rows past the base
 
     kernels::SelVec sel; ///< per-lane selection vector (reused per batch)
     std::vector<Slot> scratch_;     ///< block-decompress scratch (lazy)
@@ -555,7 +553,21 @@ class Exec
     bool
     deltaActive() const
     {
-        return delta != nullptr && delta_rows > 0;
+        return delta_rows > 0;
+    }
+
+    /** Oid of delta row 0: every delta oid sorts after the base's. */
+    int64_t
+    deltaFirst() const
+    {
+        return static_cast<int64_t>(db.docCount());
+    }
+
+    /** Delta row @p i, read in place from the row store. */
+    const storage::Document &
+    deltaDoc(size_t i) const
+    {
+        return db.data().docs[db.docCount() + i];
     }
 
     void
@@ -1301,7 +1313,7 @@ class Exec
     }
 
     /**
-     * Materialize @p count matched delta oids (all >= firstOid) from
+     * Materialize @p count matched delta oids (all >= deltaFirst()) from
      * the row-major tail, appending to @p rs.  Mirrors retrieveRange's
      * two modes: SELECT * scatters the document into a bind-width
      * dense row (digesting every non-null cell, even past the width);
@@ -1315,9 +1327,9 @@ class Exec
         const DeltaScanOp &op = plan.delta;
         for (size_t m = 0; m < count; ++m) {
             size_t i = static_cast<size_t>(matches[m] -
-                                           delta->firstOid());
+                                           deltaFirst());
             invariant(i < delta_rows, "match beyond the delta snapshot");
-            const storage::Document &doc = delta->doc(i);
+            const storage::Document &doc = deltaDoc(i);
             countTouch();
             countDelta();
             Slot *row = rs.addRows(1);
@@ -1406,8 +1418,7 @@ Executor::run(const Query &q, QueryStats *stats)
     const PhysicalPlan plan = bound(q);
     auto t1 = std::chrono::steady_clock::now();
     Exec<NullTracer> exec(*db, plan, NullTracer{}, threads_,
-                          morsel_rows, vectorized_, delta_,
-                          delta_rows_);
+                          morsel_rows, vectorized_, delta_rows_);
     ResultSet rs = ops::runQuery(exec, q);
     auto ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1438,7 +1449,7 @@ Executor::run(const Query &q, perf::MemoryHierarchy &mh)
     // they cannot produce the paper's address trace.
     invariant(!db->compressed(),
               "simulated traces require an uncompressed database");
-    invariant(delta_ == nullptr || delta_rows_ == 0,
+    invariant(delta_rows_ == 0,
               "simulated traces require an empty delta");
     const PhysicalPlan plan = bound(q);
     Exec<SimTracer> exec(*db, plan, SimTracer{&mh, nullptr}, 1,

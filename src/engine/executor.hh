@@ -36,7 +36,6 @@
 #include "engine/query.hh"
 #include "engine/query_stats.hh"
 #include "engine/tracer.hh"
-#include "storage/delta.hh"
 
 namespace dvp::engine
 {
@@ -87,20 +86,19 @@ class Executor
     bool vectorized() const { return vectorized_; }
 
     /**
-     * Merge the first @p rows rows of @p delta — the immutable tail
-     * prefix of an engine snapshot (DESIGN.md §16) — into every scan.
-     * Delta oids sort strictly after every base oid, so merged results
-     * are exactly what a fold of those rows into the partitions would
-     * produce, in the same order.  The caller keeps @p delta alive for
-     * the executor's lifetime (the engine holds it via its snapshot
-     * handle).  Null (the default) detaches.  The simulation overload
-     * refuses a non-empty delta: the paper's traced figures model the
-     * sealed partitions only.
+     * Query the cut data.docs[0, @p n) of an engine snapshot (DESIGN.md
+     * §16): the rows past the database's docCount() — the delta — are
+     * read from the row store and merged into every scan.  Delta oids
+     * sort strictly after every base oid, so merged results are
+     * exactly what a fold of those rows into the partitions would
+     * produce, in the same order.  The default (the database's own
+     * docCount()) merges nothing.  The simulation overload refuses a
+     * non-empty delta: the paper's traced figures model the sealed
+     * partitions only.
      */
-    void setDelta(const storage::DeltaStore *delta, size_t rows)
+    void setVisibleDocs(size_t n)
     {
-        delta_ = delta;
-        delta_rows_ = delta == nullptr ? 0 : rows;
+        delta_rows_ = n > db->docCount() ? n - db->docCount() : 0;
     }
 
     /**
@@ -127,8 +125,7 @@ class Executor
     size_t threads_;
     size_t morsel_rows = kDefaultMorselRows;
     bool vectorized_ = true;
-    const storage::DeltaStore *delta_ = nullptr;
-    size_t delta_rows_ = 0;
+    size_t delta_rows_ = 0; ///< rows of the cut past db->docCount()
 };
 
 } // namespace dvp::engine

@@ -121,8 +121,8 @@ struct BulkInsertOp
 
 /**
  * Delta-tail scan: how the executor evaluates the query over the
- * row-major DeltaStore installed next to the base partitions (live
- * ingest, DESIGN.md §16).  Delta rows are encoded Documents, so the
+ * snapshot's rows past the base partitions, read from the row store
+ * (live ingest, DESIGN.md §16).  Delta rows are encoded Documents, so the
  * node pre-resolves only the *attribute* view of the query — output
  * attributes in row order and the explicit-projection width; partition
  * locations do not apply.  Predicate literals flow in from the Query

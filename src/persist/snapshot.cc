@@ -157,8 +157,9 @@ class Reader
 } // namespace
 
 std::string
-serialize(const engine::DataSet &data, const layout::Layout *layout,
-          const SnapshotMeta *meta)
+serialize(const storage::Catalog &cat, const storage::Dictionary &dict,
+          const storage::DocStore &docs, size_t ndocs,
+          const layout::Layout *layout, const SnapshotMeta *meta)
 {
     Writer w;
     uint64_t magic = 0;
@@ -173,7 +174,6 @@ serialize(const engine::DataSet &data, const layout::Layout *layout,
     w.u64(m.walLsn);
 
     // Catalog.
-    const auto &cat = data.catalog;
     w.u32(static_cast<uint32_t>(cat.attrCount()));
     for (storage::AttrId a = 0; a < cat.attrCount(); ++a) {
         const storage::AttrInfo &info = cat.info(a);
@@ -184,13 +184,14 @@ serialize(const engine::DataSet &data, const layout::Layout *layout,
     w.u64(cat.docCount());
 
     // Dictionary (ids are dense in insertion order).
-    w.u32(static_cast<uint32_t>(data.dict.size()));
-    for (storage::StringId id = 0; id < data.dict.size(); ++id)
-        w.str(data.dict.text(id));
+    w.u32(static_cast<uint32_t>(dict.size()));
+    for (storage::StringId id = 0; id < dict.size(); ++id)
+        w.str(dict.text(id));
 
     // Documents.
-    w.u64(data.docs.size());
-    for (const auto &doc : data.docs) {
+    w.u64(ndocs);
+    for (size_t d = 0; d < ndocs; ++d) {
+        const storage::Document &doc = docs[d];
         w.i64(doc.oid);
         w.u32(static_cast<uint32_t>(doc.attrs.size()));
         for (const auto &[attr, slot] : doc.attrs) {
@@ -307,16 +308,13 @@ deserialize(const std::string &bytes)
     uint64_t ndocs;
     if (!r.u64(ndocs))
         return fail("truncated document section");
-    out.data.docs.reserve(ndocs);
-    int64_t prev_oid = INT64_MIN;
     for (uint64_t d = 0; d < ndocs; ++d) {
         storage::Document doc;
         uint32_t nslots;
         if (!r.i64(doc.oid) || !r.u32(nslots))
             return fail("truncated document");
-        if (doc.oid <= prev_oid)
+        if (doc.oid != static_cast<int64_t>(d))
             return fail("documents out of oid order");
-        prev_oid = doc.oid;
         doc.attrs.reserve(nslots);
         uint32_t prev_attr = 0;
         for (uint32_t k = 0; k < nslots; ++k) {

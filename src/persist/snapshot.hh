@@ -20,8 +20,8 @@
  *
  * The meta block is what lets a durability checkpoint cut round-trip
  * exactly:
- * baseDocs marks where the folded base ends and unfolded DeltaStore
- * rows begin inside docs, epoch is the layout epoch at the cut, and
+ * baseDocs marks where the folded base ends and the unfolded INSERT
+ * delta begins inside docs, epoch is the layout epoch at the cut, and
  * walLsn is the last WAL record folded into the image.
  *
  * Strings are u32 length + bytes.  The writer buffers the whole image
@@ -75,12 +75,25 @@ struct LoadResult
 };
 
 /**
- * Serialize @p data (and @p layout if non-null) into a byte string.
- * @p meta fills the meta block; null writes an all-zero block.
+ * Serialize @p catalog, @p dict, the documents @p docs[0, @p ndocs)
+ * (and @p layout if non-null) into a byte string.  @p meta fills the
+ * meta block; null writes an all-zero block.
  */
-std::string serialize(const engine::DataSet &data,
+std::string serialize(const storage::Catalog &catalog,
+                      const storage::Dictionary &dict,
+                      const storage::DocStore &docs, size_t ndocs,
                       const layout::Layout *layout = nullptr,
                       const SnapshotMeta *meta = nullptr);
+
+/** serialize() of all of @p data. */
+inline std::string
+serialize(const engine::DataSet &data,
+          const layout::Layout *layout = nullptr,
+          const SnapshotMeta *meta = nullptr)
+{
+    return serialize(data.catalog, data.dict, data.docs,
+                     data.docs.size(), layout, meta);
+}
 
 /** Parse an image produced by serialize(). */
 LoadResult deserialize(const std::string &bytes);

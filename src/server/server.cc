@@ -11,7 +11,6 @@
 #include <fcntl.h>
 #include <fstream>
 #include <poll.h>
-#include <sstream>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -688,15 +687,16 @@ Server::buildStats()
         engine->adaptation().repartitions.load(
             std::memory_order_relaxed));
     {
-        // One consistent cut: base partitions plus the delta-store
-        // prefix visible at this instant.  "docs" counts everything a
-        // query started now would see.
+        // One consistent cut: base partitions plus the document count
+        // visible at this instant.  "docs" counts everything a query
+        // started now would see; the delta is the rows past the base.
         adaptive::Snapshot snap = engine->snapshotFull();
-        body.entries.emplace_back("docs",
-                                  snap.base->docCount() +
-                                      snap.deltaRows);
-        body.entries.emplace_back("delta_rows", snap.deltaRows);
-        body.entries.emplace_back("delta_bytes", snap.delta->bytes());
+        body.entries.emplace_back("docs", snap.docs);
+        body.entries.emplace_back("delta_rows", snap.deltaRows());
+        body.entries.emplace_back(
+            "delta_bytes",
+            snap.base->data().docs.bytes(snap.base->docCount(),
+                                         snap.docs));
         body.entries.emplace_back("layout_epoch", snap.epoch);
     }
 
@@ -799,9 +799,7 @@ jsonEscape(const std::string &s)
 
 void
 Server::logSlowQuery(const Task &task, const sql::RunResult &r,
-                     uint64_t layoutEpoch, uint64_t resultRows,
-                     uint64_t resultBytes,
-                     const engine::LoadStats *loadStats)
+                     uint64_t resultRows, uint64_t resultBytes)
 {
     std::string line = "{\"statement\":\"" + jsonEscape(task.sql) +
                        "\"";
@@ -812,7 +810,7 @@ Server::logSlowQuery(const Task &task, const sql::RunResult &r,
     }
     line += ",\"exec_ns\":" +
             std::to_string(static_cast<uint64_t>(r.seconds * 1e9));
-    line += ",\"layout_epoch\":" + std::to_string(layoutEpoch);
+    line += ",\"layout_epoch\":" + std::to_string(r.stats.planEpoch);
     line += ",\"result_rows\":" + std::to_string(resultRows);
     line += ",\"result_bytes\":" + std::to_string(resultBytes);
     if (r.hasStats) {
@@ -826,13 +824,13 @@ Server::logSlowQuery(const Task &task, const sql::RunResult &r,
         }
         line += "}";
     }
-    if (loadStats != nullptr) {
-        line += ",\"load\":{\"index_ns\":" +
-                std::to_string(loadStats->indexNs) +
-                ",\"flatten_ns\":" + std::to_string(loadStats->walkNs) +
-                ",\"encode_ns\":" + std::to_string(loadStats->encodeNs) +
-                ",\"docs\":" + std::to_string(loadStats->docs) +
-                ",\"bytes\":" + std::to_string(loadStats->bytes) + "}";
+    if (r.hasLoadStats) {
+        const engine::LoadStats &ls = r.loadStats;
+        line += ",\"load\":{\"index_ns\":" + std::to_string(ls.indexNs) +
+                ",\"flatten_ns\":" + std::to_string(ls.walkNs) +
+                ",\"encode_ns\":" + std::to_string(ls.encodeNs) +
+                ",\"docs\":" + std::to_string(ls.docs) +
+                ",\"bytes\":" + std::to_string(ls.bytes) + "}";
     }
     line += "}\n";
 
@@ -917,63 +915,9 @@ Server::executeTask(Task &task)
             hook();
     }
 
-    engine::LoadStats load_stats;
-    bool did_load = false;
-    sql::LoadHandler load;
-    if (cfg.allowLoad) {
-        load = [this, &load_stats, &did_load](const std::string &path) {
-            sql::LoadOutcome out;
-            std::ifstream in(path);
-            if (!in) {
-                out.error =
-                    "cannot open '" + path + "' on the server";
-                return out;
-            }
-            std::stringstream buf;
-            buf << in.rdbuf();
-            std::string text = buf.str();
-
-            // Tape-parse in parallel lanes, then ingest the flats in
-            // one batch so a parse error keeps the old all-or-nothing
-            // contract (no partial load reaches the delta store).
-            engine::LoadOptions opt;
-            opt.threads = cfg.loadThreads == 0 ? 1 : cfg.loadThreads;
-            opt.timeStages = true;
-            uint64_t t0 = nowNs();
-            std::vector<std::vector<json::FlatAttr>> flats;
-            std::string err = engine::parseNdjsonFlat(
-                text, opt, &load_stats,
-                [&](const std::vector<json::FlatAttr> &flat) {
-                    flats.push_back(flat);
-                });
-            if (err.empty()) {
-                uint64_t t_enc = nowNs();
-                engine->ingestFlatBatch(flats);
-                load_stats.encodeNs += nowNs() - t_enc;
-            }
-            DVP_HISTOGRAM_OBSERVE("dvp_parse_duration_ns",
-                                  nowNs() - t0);
-            did_load = true;
-            parse_docs_.fetch_add(load_stats.docs,
-                                  std::memory_order_relaxed);
-            parse_bytes_.fetch_add(load_stats.bytes,
-                                   std::memory_order_relaxed);
-            load_index_ns_.fetch_add(load_stats.indexNs,
-                                     std::memory_order_relaxed);
-            load_flatten_ns_.fetch_add(load_stats.walkNs,
-                                       std::memory_order_relaxed);
-            load_encode_ns_.fetch_add(load_stats.encodeNs,
-                                      std::memory_order_relaxed);
-            if (!err.empty()) {
-                out.error = "parse error: " + err;
-                return out;
-            }
-            out.message = "ingested " +
-                          std::to_string(load_stats.docs) +
-                          " documents";
-            return out;
-        };
-    }
+    engine::LoadOptions load;
+    load.threads = cfg.loadThreads == 0 ? 1 : cfg.loadThreads;
+    load.timeStages = true;
 
     const uint64_t t_exec = nowNs();
     sql::RunResult r;
@@ -991,12 +935,17 @@ Server::executeTask(Task &task)
         // The engine snapshots an (epoch, base, delta-prefix) cut per
         // statement, so a concurrent INSERT or LOAD append never
         // changes what a reader sees.
-        r = sql::runStatement(*engine, task.sql, load, cfg.allowInsert);
-        // runStatement leaves seconds at 0 for Message results; stamp
-        // the LOAD wall time so clients see execNs and the slow-query
-        // threshold applies to bulk ingest too.
-        if (did_load)
-            r.seconds = static_cast<double>(nowNs() - t_exec) / 1e9;
+        r = sql::runStatement(*engine, task.sql,
+                              cfg.allowLoad ? &load : nullptr,
+                              cfg.allowInsert);
+    }
+    if (r.hasLoadStats) {
+        const engine::LoadStats &ls = r.loadStats;
+        parse_docs_.fetch_add(ls.docs, std::memory_order_relaxed);
+        parse_bytes_.fetch_add(ls.bytes, std::memory_order_relaxed);
+        load_index_ns_.fetch_add(ls.indexNs, std::memory_order_relaxed);
+        load_flatten_ns_.fetch_add(ls.walkNs, std::memory_order_relaxed);
+        load_encode_ns_.fetch_add(ls.encodeNs, std::memory_order_relaxed);
     }
 
     const uint64_t t_encode = nowNs();
@@ -1077,8 +1026,7 @@ Server::executeTask(Task &task)
     if (r.ok && !cfg.slowLogPath.empty() &&
         r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
         DVP_COUNTER_INC("dvp_server_slow_queries_total");
-        logSlowQuery(task, r, r.stats.planEpoch, result_rows,
-                     result_bytes, did_load ? &load_stats : nullptr);
+        logSlowQuery(task, r, result_rows, result_bytes);
     }
 
     // seq_cst, paired with the loop's draining_ store + inflight_

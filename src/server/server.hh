@@ -27,8 +27,9 @@
  * (queued + executing) are rejected immediately with a typed
  * SERVER_BUSY error; the connection stays usable.  Statements run
  * concurrently with no server-side lock: queries, INSERTs and LOAD
- * DATA all go through the engine, whose epoch snapshot + delta store
- * give every reader a consistent cut, so writers never block readers.
+ * DATA all go through the engine, whose snapshot (base partitions +
+ * visible document count) gives every reader a consistent cut, so
+ * writers never block readers.
  *
  * Graceful drain: requestStop() (directly, via stop(), or from the
  * SIGINT/SIGTERM handlers) stops accepting wire connections, answers
@@ -259,9 +260,7 @@ class Server
     void executeTask(Task &task);
     net::StatsBody buildStats();
     void logSlowQuery(const Task &task, const sql::RunResult &r,
-                      uint64_t layoutEpoch, uint64_t resultRows,
-                      uint64_t resultBytes,
-                      const engine::LoadStats *loadStats = nullptr);
+                      uint64_t resultRows, uint64_t resultBytes);
 
     adaptive::AdaptiveEngine *engine;
     Config cfg;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <set>
 
@@ -95,7 +96,10 @@ lex(const std::string &text)
                 ++end;
             Token t{TokKind::Integer, text.substr(i, end - i), 0,
                     start};
-            t.number = std::stoll(t.text);
+            auto [ptr, ec] = std::from_chars(text.data() + i,
+                                             text.data() + end, t.number);
+            if (ec != std::errc())
+                return fail("integer literal out of range", start);
             out.tokens.push_back(std::move(t));
             i = end;
             continue;

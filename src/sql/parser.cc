@@ -409,6 +409,11 @@ class Parser
                 std::swap(lcol, rcol);
             q.joinLeftAttr = column(lcol);
             q.joinRightAttr = column(rcol);
+            if (q.joinLeftAttr == storage::kNoAttr ||
+                q.joinRightAttr == storage::kNoAttr)
+                // Like GROUP BY: the engine's join requires both
+                // columns to exist.
+                return fail("unknown join column");
             is_join = true;
         }
 

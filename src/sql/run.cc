@@ -1,8 +1,11 @@
 #include "sql/run.hh"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "json/tape.hh"
+#include "obs/metrics.hh"
 #include "sql/explain.hh"
 #include "sql/parser.hh"
 #include "util/timer.hh"
@@ -11,8 +14,50 @@ namespace dvp::sql
 {
 
 RunResult
+loadFile(adaptive::AdaptiveEngine &eng, const std::string &path,
+         const engine::LoadOptions &opt)
+{
+    RunResult res;
+    res.errorKind = RunResult::Error::Exec;
+    res.hasLoadStats = true;
+    Timer t;
+    std::ifstream in(path);
+    if (!in) {
+        res.error = "cannot open '" + path + "'";
+        return res;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+
+    std::vector<std::vector<json::FlatAttr>> flats;
+    std::string err = engine::parseNdjsonFlat(
+        buf.str(), opt, &res.loadStats,
+        [&](const std::vector<json::FlatAttr> &flat) {
+            flats.push_back(flat);
+        });
+    if (!err.empty()) {
+        res.error = "parse error: " + err + " (nothing ingested)";
+        return res;
+    }
+    Timer ingest;
+    adaptive::IngestAck ack = eng.ingestFlatBatch(flats);
+    res.loadStats.encodeNs += static_cast<uint64_t>(ingest.seconds() * 1e9);
+    res.seconds = t.seconds();
+    DVP_HISTOGRAM_OBSERVE("dvp_parse_duration_ns",
+                          static_cast<uint64_t>(res.seconds * 1e9));
+    if (!ack.walError.empty()) {
+        res.error = "LOAD not durable: " + ack.walError;
+        return res;
+    }
+    res.ok = true;
+    res.errorKind = RunResult::Error::None;
+    res.message = "ingested " + std::to_string(ack.count) + " documents";
+    return res;
+}
+
+RunResult
 runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
-             const LoadHandler &load, bool allowInsert)
+             const engine::LoadOptions *load, bool allowInsert)
 {
     RunResult res;
     std::shared_ptr<engine::Database> db = eng.snapshot();
@@ -38,16 +83,7 @@ runStatement(adaptive::AdaptiveEngine &eng, const std::string &text,
             res.error = "LOAD DATA is not supported on this connection";
             return res;
         }
-        LoadOutcome outcome = load(parsed.loadFile);
-        if (!outcome.error.empty()) {
-            res.errorKind = RunResult::Error::Exec;
-            res.error = outcome.error;
-            return res;
-        }
-        res.ok = true;
-        res.kind = RunResult::Kind::Message;
-        res.message = outcome.message;
-        return res;
+        return loadFile(eng, parsed.loadFile, *load);
       }
 
       case StatementKind::Insert: {

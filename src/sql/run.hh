@@ -9,33 +9,24 @@
  * this dispatch; keeping it here means an error class or statement
  * kind added once shows up everywhere with identical wording.
  *
- * LOAD DATA is environment-specific (a shell reads the user's file, a
- * server may refuse or read server-local paths), so the caller passes
- * a LoadHandler; without one, LOAD maps to an Unsupported error.
+ * Whether LOAD DATA may run is environment-specific (a server may
+ * refuse it), so the caller passes LoadOptions; without them, LOAD
+ * maps to an Unsupported error.  What LOAD does is not: every front
+ * end runs loadFile().
  */
 
 #ifndef DVP_SQL_RUN_HH
 #define DVP_SQL_RUN_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "adaptive/adaptive_engine.hh"
+#include "engine/load.hh"
 #include "engine/query.hh"
 
 namespace dvp::sql
 {
-
-/** Outcome of a LoadHandler invocation. */
-struct LoadOutcome
-{
-    std::string error;   ///< non-empty = the load failed
-    std::string message; ///< human summary on success
-};
-
-/** Environment hook executing LOAD DATA for @p path. */
-using LoadHandler = std::function<LoadOutcome(const std::string &path)>;
 
 /** Result of one statement. */
 struct RunResult
@@ -65,7 +56,11 @@ struct RunResult
     engine::Query query;    ///< parsed query (Rows and EXPLAIN)
     engine::ResultSet rows; ///< Kind::Rows payload
     std::string message;    ///< Kind::Message payload
-    double seconds = 0;     ///< execution wall time (Rows only)
+    double seconds = 0;     ///< execution wall time (Rows and LOAD)
+
+    /** LOAD DATA's parse/ingest counters; hasLoadStats marks a LOAD. */
+    engine::LoadStats loadStats;
+    bool hasLoadStats = false;
 
     /**
      * Per-query execution statistics, filled whenever the statement
@@ -82,16 +77,28 @@ struct RunResult
  * Parse and run one statement against @p eng.  Queries execute through
  * AdaptiveEngine::execute (feeding workload statistics and possibly
  * triggering a repartition); EXPLAIN renders the bound plan (EXPLAIN
- * ANALYZE also executes it); LOAD dispatches to @p load; INSERT appends to
- * the engine's delta store (AdaptiveEngine::ingestBatch) — the ack
- * message carries the appended count, the post-append document count,
- * and the base epoch.  @p allowInsert false maps INSERT to a ReadOnly
- * error without touching the engine.
+ * ANALYZE also executes it); LOAD runs loadFile() with @p load (null
+ * refuses it as Unsupported); INSERT appends past the engine's base
+ * partitions (AdaptiveEngine::ingestFlatBatch) — the ack message
+ * carries the appended count, the post-append document count, and the
+ * base epoch.  @p allowInsert false maps INSERT to a ReadOnly error
+ * without touching the engine.
  */
 RunResult runStatement(adaptive::AdaptiveEngine &eng,
                        const std::string &text,
-                       const LoadHandler &load = {},
+                       const engine::LoadOptions *load = nullptr,
                        bool allowInsert = true);
+
+/**
+ * LOAD DATA's one implementation: read the NDJSON file @p path,
+ * tape-parse it (engine::parseNdjsonFlat, lanes per @p opt) and ingest
+ * every document through one AdaptiveEngine::ingestFlatBatch — all or
+ * nothing: a parse error ingests no document.  A WAL commit failure
+ * is an Exec error ("LOAD not durable: ..."), exactly as for INSERT,
+ * so a load is never acknowledged unless it would survive a crash.
+ */
+RunResult loadFile(adaptive::AdaptiveEngine &eng, const std::string &path,
+                   const engine::LoadOptions &opt = {});
 
 /**
  * Column headers for @p q's result rows, resolved against @p data's

@@ -43,7 +43,7 @@ class AnalyzeWorld : public ::testing::Test
                              "fixedSize");
         compressed = new Database(
             *data, layout::Layout::fixedSize(attrs, 12), "fixedSizeC",
-            /*allow_pad=*/true, nullptr, /*compress=*/true);
+            /*allow_pad=*/true, SIZE_MAX, /*compress=*/true);
     }
     static void
     TearDownTestSuite()

@@ -548,7 +548,7 @@ struct CompressWorld
                 data, l.layout, l.name));
             comp.push_back(std::make_unique<Database>(
                 data, l.layout, std::string(l.name) + "+z", true,
-                nullptr, true));
+                SIZE_MAX, true));
         }
     }
 
@@ -785,7 +785,7 @@ TEST(NullPredicates, ZonePruningSkipsDecidedBlocks)
     ASSERT_NE(b, storage::kNoAttr);
 
     Database db(data, Layout::rowBased(data.catalog.allAttrs()), "row",
-                true, nullptr, true);
+                true, SIZE_MAX, true);
     Query q;
     q.name = "Qb";
     q.kind = QueryKind::Select;

@@ -561,7 +561,7 @@ TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)
         // and a Swap record hit the WAL.
         adaptive::Snapshot snap = w.engine->snapshotFull();
         ASSERT_GT(snap.epoch, 1u);
-        ASSERT_EQ(snap.deltaRows, 0u);
+        ASSERT_EQ(snap.deltaRows(), 0u);
         epoch_before = snap.epoch;
         base_before = snap.base->docCount();
         params.adapt = false; // deterministic digest run
@@ -580,6 +580,37 @@ TEST(Manager, RecoverAfterLayoutSwapRestoresEpochAndLayout)
     nobench::Config cfg = ncfg;
     EXPECT_EQ(elevenDigests(*r.engine, r.data, cfg), before);
     fs::remove_all(dirpath);
+}
+
+TEST(Manager, RestoreAtChunkBoundariesMatchesNeverCrashedDigests)
+{
+    // restore() builds the base from docs[0, baseDocs) in place and
+    // leaves the rest as the delta: a cut one row before, at and after
+    // the first DocStore chunk boundary must answer Q1-Q11 exactly like
+    // the never-crashed engine whose base holds every document.
+    nobench::Config ncfg;
+    ncfg.numDocs = storage::DocStore::kChunkRows + 64;
+    ncfg.seed = 99;
+    engine::DataSet data = nobench::generateDataSet(ncfg);
+    adaptive::Params params = quietParams();
+    adaptive::AdaptiveEngine ref(data, std::vector<engine::Query>{},
+                                 params);
+    const std::vector<uint64_t> expected =
+        elevenDigests(ref, data, ncfg);
+
+    const size_t chunk = storage::DocStore::kChunkRows;
+    for (size_t base : {chunk - 1, chunk, chunk + 1}) {
+        adaptive::Restore r;
+        r.layout = ref.snapshot()->layout();
+        r.epoch = ref.snapshot()->epoch();
+        r.baseDocs = base;
+        auto eng = adaptive::AdaptiveEngine::restore(data, r, params);
+        adaptive::Snapshot snap = eng->snapshotFull();
+        EXPECT_EQ(snap.base->docCount(), base);
+        EXPECT_EQ(snap.deltaRows(), data.docs.size() - base);
+        EXPECT_EQ(elevenDigests(*eng, data, ncfg), expected)
+            << "baseDocs " << base;
+    }
 }
 
 TEST(Manager, CrashInjectionPrefixConsistentAtEveryByte)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for live ingest (DESIGN.md §16): the row-major DeltaStore,
+ * Tests for live ingest (DESIGN.md §16): the DataSet document store,
  * epoch-versioned snapshot isolation, delta-merged scans, the
  * LSM-style fold that drains the delta at a repartition, the data-
  * drift side of the change detector, the SQL INSERT surface, and the
@@ -31,7 +31,7 @@
 #include "server/server.hh"
 #include "sql/run.hh"
 #include "stats/change_detector.hh"
-#include "storage/delta.hh"
+#include "storage/doc_store.hh"
 
 namespace dvp
 {
@@ -42,7 +42,7 @@ using adaptive::AdaptiveEngine;
 using adaptive::Params;
 
 // ---------------------------------------------------------------------
-// DeltaStore.
+// DocStore: the DataSet's one row store.
 // ---------------------------------------------------------------------
 
 storage::Document
@@ -55,54 +55,54 @@ intDoc(int64_t oid, std::vector<std::pair<storage::AttrId, storage::Slot>>
     return d;
 }
 
-TEST(DeltaStore, AppendReadBackAcrossChunks)
+TEST(DocStore, AppendReadBackAcrossChunks)
 {
-    storage::DeltaStore delta(100);
-    EXPECT_EQ(delta.firstOid(), 100);
-    EXPECT_EQ(delta.size(), 0u);
-    EXPECT_EQ(delta.bytes(), 0u);
+    storage::DocStore docs;
+    EXPECT_EQ(docs.size(), 0u);
+    EXPECT_EQ(docs.bytes(0, docs.size()), 0u);
 
-    // Cross two chunk boundaries so the directory's release-published
-    // chunks are exercised, not just the first.
-    const size_t n = storage::DeltaStore::kChunkRows * 2 + 37;
+    // Cross two chunk boundaries (chunk c holds kChunkRows << c rows)
+    // so the directory's release-published chunks are exercised, not
+    // just the first.
+    const size_t n = storage::DocStore::kChunkRows * 3 + 37;
     for (size_t i = 0; i < n; ++i) {
-        int64_t oid = delta.append(intDoc(
-            100 + static_cast<int64_t>(i),
-            {{1, static_cast<storage::Slot>(i)}, {3, 7}}));
-        EXPECT_EQ(oid, 100 + static_cast<int64_t>(i));
+        docs.push_back(intDoc(static_cast<int64_t>(i),
+                              {{1, static_cast<storage::Slot>(i)},
+                               {3, 7}}));
+        EXPECT_EQ(docs.back().oid, static_cast<int64_t>(i));
     }
-    ASSERT_EQ(delta.size(), n);
-    EXPECT_GT(delta.bytes(), 0u);
+    ASSERT_EQ(docs.size(), n);
+    EXPECT_GT(docs.bytes(0, docs.size()), 0u);
     for (size_t i = 0; i < n; i += 97) {
-        const storage::Document &d = delta.doc(i);
-        EXPECT_EQ(d.oid, 100 + static_cast<int64_t>(i));
+        const storage::Document &d = docs[i];
+        EXPECT_EQ(d.oid, static_cast<int64_t>(i));
         EXPECT_EQ(d.slotOf(1), static_cast<storage::Slot>(i));
         EXPECT_EQ(d.slotOf(3), 7);
         EXPECT_TRUE(storage::isNull(d.slotOf(2)));
     }
 }
 
-TEST(DeltaStore, ReadersSeeFixedPrefixDuringConcurrentAppends)
+TEST(DocStore, ReadersSeeFixedPrefixDuringConcurrentAppends)
 {
-    storage::DeltaStore delta(0);
+    storage::DocStore docs;
     std::atomic<bool> done{false};
     std::thread writer([&] {
         for (int64_t i = 0; i < 20000; ++i)
-            delta.append(intDoc(i, {{1, i}}));
+            docs.push_back(intDoc(i, {{1, i}}));
         done.store(true, std::memory_order_release);
     });
     // Lock-free readers: load size() once, then every row below that
     // prefix must already be fully published.
     while (!done.load(std::memory_order_acquire)) {
-        size_t n = delta.size();
+        size_t n = docs.size();
         for (size_t i = 0; i < n; i += 251) {
-            const storage::Document &d = delta.doc(i);
+            const storage::Document &d = docs[i];
             ASSERT_EQ(d.oid, static_cast<int64_t>(i));
             ASSERT_EQ(d.slotOf(1), static_cast<storage::Slot>(i));
         }
     }
     writer.join();
-    EXPECT_EQ(delta.size(), 20000u);
+    EXPECT_EQ(docs.size(), 20000u);
 }
 
 // ---------------------------------------------------------------------
@@ -178,24 +178,16 @@ class IngestWorld : public ::testing::Test
             docs = std::strtoull(env, nullptr, 10);
         cfg.numDocs = docs;
         cfg.seed = 4242;
-        data = new engine::DataSet(nobench::generateDataSet(cfg));
     }
 
-    static void
-    TearDownTestSuite()
-    {
-        delete data;
-        data = nullptr;
-    }
-
-    /** A fresh engine over a copy of the shared data set. */
+    /** A fresh engine over a freshly generated NoBench data set. */
     struct World
     {
         engine::DataSet data;
         std::unique_ptr<AdaptiveEngine> engine;
 
         explicit World(Params prm = defaultParams())
-            : data(*IngestWorld::data)
+            : data(nobench::generateDataSet(IngestWorld::cfg))
         {
             engine = std::make_unique<AdaptiveEngine>(
                 data, std::vector<engine::Query>{}, prm);
@@ -244,11 +236,9 @@ class IngestWorld : public ::testing::Test
     }
 
     static nobench::Config cfg;
-    static engine::DataSet *data;
 };
 
 nobench::Config IngestWorld::cfg;
-engine::DataSet *IngestWorld::data = nullptr;
 
 // ---------------------------------------------------------------------
 // Snapshot isolation.
@@ -262,12 +252,12 @@ TEST_F(IngestWorld, SnapshotPinsItsDeltaPrefix)
 
     // The cut: base partitions + 5 delta rows.
     adaptive::Snapshot snap = w.engine->snapshotFull();
-    EXPECT_EQ(snap.deltaRows, 5u);
+    EXPECT_EQ(snap.deltaRows(), 5u);
     EXPECT_EQ(snap.epoch, snap.base->epoch());
 
     for (int64_t k = 6; k <= 10; ++k)
         w.engine->ingest(ingestDoc(k));
-    EXPECT_EQ(w.engine->deltaRows(), 10u);
+    EXPECT_EQ(w.engine->snapshotFull().deltaRows(), 10u);
 
     // A query through the held snapshot keeps seeing exactly the cut,
     // no matter how much the writer appended since.
@@ -283,7 +273,7 @@ TEST_F(IngestWorld, SnapshotPinsItsDeltaPrefix)
     q.projected = {q.cond.attr, w.data.catalog.find("ingv")};
 
     engine::Executor held(*snap.base);
-    held.setDelta(snap.delta.get(), snap.deltaRows);
+    held.setVisibleDocs(snap.docs);
     engine::ResultSet rs_held = held.run(q);
     EXPECT_EQ(rs_held.rowCount(), 5u);
 
@@ -295,7 +285,7 @@ TEST_F(IngestWorld, SnapshotPinsItsDeltaPrefix)
     // for bit.
     adaptive::Snapshot now = w.engine->snapshotFull();
     engine::Executor cur(*now.base);
-    cur.setDelta(now.delta.get(), now.deltaRows);
+    cur.setVisibleDocs(now.docs);
     engine::ResultSet rs_cur = cur.run(q);
     EXPECT_EQ(rs_cur.digest(), rs_now.digest());
     EXPECT_EQ(rs_cur.checksum, rs_now.checksum);
@@ -354,7 +344,7 @@ TEST_F(IngestWorld, DigestsIdenticalAcrossFoldStatesThreadsCompression)
 
             // The size trigger really fired: the delta was drained at
             // least twice and the audit trail says why.
-            EXPECT_LT(w.engine->deltaRows(), kDocs);
+            EXPECT_LT(w.engine->snapshotFull().deltaRows(), kDocs);
             EXPECT_GE(w.engine->adaptation().repartitions.load(), 2u);
             uint64_t folded = 0;
             bool fold_trigger = false;
@@ -454,7 +444,7 @@ TEST_F(IngestWorld, SimulatedTracesRefuseANonEmptyDelta)
     World w;
     w.engine->ingest(ingestDoc(1));
     adaptive::Snapshot snap = w.engine->snapshotFull();
-    ASSERT_EQ(snap.deltaRows, 1u);
+    ASSERT_EQ(snap.deltaRows(), 1u);
 
     engine::Query q;
     q.name = "sim";
@@ -474,7 +464,7 @@ TEST_F(IngestWorld, SimulatedTracesRefuseANonEmptyDelta)
 #if GTEST_HAS_DEATH_TEST
     GTEST_FLAG_SET(death_test_style, "threadsafe");
     engine::Executor withDelta(*snap.base);
-    withDelta.setDelta(snap.delta.get(), snap.deltaRows);
+    withDelta.setVisibleDocs(snap.docs);
     perf::MemoryHierarchy mh2;
     EXPECT_DEATH(withDelta.run(q, mh2), "empty delta");
 #endif
@@ -554,7 +544,7 @@ TEST_F(IngestWorld, WireInsertGatedWithoutAllowInsert)
         "INSERT INTO nobench VALUES ('{\"ingq\": 1}')");
     EXPECT_FALSE(ins.ok);
     EXPECT_EQ(ins.errorCode, net::ErrorCode::ReadOnly);
-    EXPECT_EQ(w.engine->deltaRows(), 0u);
+    EXPECT_EQ(w.engine->snapshotFull().deltaRows(), 0u);
 
     // The rejection is per-statement: the session stays usable.
     client::Result sel = c.query("SELECT str1, num FROM t");

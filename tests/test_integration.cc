@@ -202,8 +202,9 @@ TEST(EndToEnd, BulkInsertReachesAllSixEngines)
 
     Rng rng(14);
     nobench::appendDocs(cfg, data, rng, 10);
-    std::vector<storage::Document> payload(data.docs.end() - 10,
-                                           data.docs.end());
+    std::vector<storage::Document> payload;
+    for (size_t i = data.docs.size() - 10; i < data.docs.size(); ++i)
+        payload.push_back(data.docs[i]);
     nobench::QuerySet qs(data, cfg);
     Query q12 = qs.insertQuery(&payload);
 

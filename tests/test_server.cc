@@ -25,15 +25,18 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "adaptive/adaptive_engine.hh"
 #include "client/client.hh"
+#include "durability/manager.hh"
 #include "net/socket.hh"
 #include "net/wire.hh"
 #include "nobench/generator.hh"
@@ -44,6 +47,7 @@
 #include "server/server.hh"
 #include "sql/run.hh"
 #include "storage/dictionary.hh"
+#include "util/fault.hh"
 #include "util/random.hh"
 
 namespace dvp
@@ -639,14 +643,14 @@ class ServerWorld : public ::testing::Test
         data = nullptr;
     }
 
-    /** A fresh engine over the shared (copied) data set. */
+    /** A fresh engine over a freshly generated twin of the data set. */
     struct World
     {
         engine::DataSet data;
         std::unique_ptr<AdaptiveEngine> engine;
 
         explicit World(Params prm = defaultParams())
-            : data(*ServerWorld::data)
+            : data(nobench::generateDataSet(ServerWorld::cfg))
         {
             Rng rng(1);
             auto initial = nobench::representatives(
@@ -1125,6 +1129,65 @@ TEST_F(ServerWorld, LoadDataOverTheWire)
     c.close();
     srv.stop();
     std::remove(path.c_str());
+}
+
+TEST_F(ServerWorld, LoadIsNotAcknowledgedWhenItsWalCommitFails)
+{
+    // A --data-dir engine: LOAD, like INSERT, is acknowledged only
+    // once its WAL record is committed.  A parse error ingests nothing.
+    std::string dir = ::testing::TempDir() + "dvp_server_load_wal." +
+                      std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    durability::Config dcfg;
+    dcfg.dir = dir;
+    dcfg.fsyncPolicy = durability::FsyncPolicy::None;
+    durability::Manager mgr(dcfg);
+    engine::DataSet scratch;
+    durability::RecoveryInfo info;
+    ASSERT_EQ(mgr.open(scratch, info), "");
+
+    std::string good = ::testing::TempDir() + "dvp_server_load_wal.jsonl";
+    std::string bad = ::testing::TempDir() + "dvp_server_load_bad.jsonl";
+    {
+        std::ofstream g(good), b(bad);
+        for (int i = 0; i < 5; ++i) {
+            g << "{\"num\": " << (9200000 + i) << "}\n";
+            b << "{\"num\": " << (9200000 + i) << "}\n";
+        }
+        b << "{\"num\": \n";
+    }
+
+    World w;
+    w.engine->setDurability(&mgr);
+    server::Config scfg;
+    scfg.allowLoad = true;
+    server::Server srv(*w.engine, scfg);
+    ASSERT_EQ(srv.start(), "");
+    client::Client c;
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+    const uint64_t docs_before = c.stats().get("docs");
+
+    client::Result parse_err = c.query("LOAD DATA LOCAL INFILE '" + bad +
+                                       "' REPLACE INTO TABLE t");
+    EXPECT_FALSE(parse_err.ok);
+    EXPECT_EQ(parse_err.errorCode, net::ErrorCode::Exec);
+    EXPECT_EQ(c.stats().get("docs"), docs_before);
+
+    FaultInjector::global().arm(0); // every WAL byte is refused
+    client::Result r = c.query("LOAD DATA LOCAL INFILE '" + good +
+                               "' REPLACE INTO TABLE t");
+    FaultInjector::global().disarm();
+    EXPECT_FALSE(r.ok) << r.message;
+    EXPECT_EQ(r.errorCode, net::ErrorCode::Exec);
+    EXPECT_NE(r.error.find("LOAD not durable"), std::string::npos)
+        << r.error;
+    EXPECT_EQ(r.message.find("ingested"), std::string::npos);
+
+    c.close();
+    srv.stop();
+    std::remove(good.c_str());
+    std::remove(bad.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(ServerWorld, LoadRunsAlongsideQueries)

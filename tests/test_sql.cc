@@ -16,6 +16,7 @@
 #include "sql/lexer.hh"
 #include "sql/parser.hh"
 #include "sql/run.hh"
+#include "util/random.hh"
 
 namespace dvp::sql
 {
@@ -486,6 +487,28 @@ TEST_F(SqlWorld, OneSidedComparisonsAreParseErrors)
     }
 }
 
+TEST_F(SqlWorld, OutOfRangeLiteralsAndUnknownJoinColumnsAreParseErrors)
+{
+    // Both once escaped the parser: the lexer threw std::out_of_range
+    // on an integer past int64, and an unknown ON column reached the
+    // engine's join invariant.  Found by SqlFuzz.
+    ParseResult r = parse(
+        "SELECT * FROM t WHERE num BETWEEN 99999999999999999999 AND 1",
+        *data);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("out of range"), std::string::npos);
+    EXPECT_TRUE(parse("SELECT * FROM t WHERE num BETWEEN "
+                      "-9223372036854775808 AND 9223372036854775807",
+                      *data)
+                    .ok);
+
+    r = parse("SELECT * FROM t AS l INNER JOIN t AS r "
+              "ON l.ghost = r.str1",
+              *data);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("unknown join column"), std::string::npos);
+}
+
 TEST_F(SqlWorld, UnknownGroupByColumnIsAnError)
 {
     // Unlike SELECT/WHERE columns (all-NULL semantics), an unknown
@@ -519,6 +542,246 @@ TEST_F(SqlWorld, SelectivityEstimates)
         parse("SELECT * FROM t WHERE str1 = 'nope'", *data);
     EXPECT_GT(none.query.selectivity, 0.0);
     EXPECT_LE(none.query.selectivity, 1.0 / 700);
+}
+
+// ---------------------------------------------------------------------
+// SQL fuzz: seeded, structure-aware mutations of the Table III grammar
+// (Q1-Q12, INSERT, LOAD, EXPLAIN [ANALYZE], CHECKPOINT).  Every input
+// must parse, or fail with a typed RunResult::Error::Parse; the
+// ASan+UBSan run of this suite turns a crash or an over-read into a
+// failure.
+// ---------------------------------------------------------------------
+
+/** Valid statements as token lists, and token/byte-level mutations. */
+struct SqlFuzzer
+{
+    Rng rng;
+
+    explicit SqlFuzzer(uint64_t seed) : rng(seed) {}
+
+    template <size_t N>
+    const char *
+    pick(const char *const (&from)[N])
+    {
+        return from[rng.below(N)];
+    }
+
+    std::string
+    num()
+    {
+        return std::to_string(static_cast<int64_t>(rng.below(2000000)) -
+                              1000);
+    }
+
+    std::string
+    sparse()
+    {
+        return "sparse_" + std::to_string(rng.below(1000));
+    }
+
+    std::vector<std::string>
+    query()
+    {
+        static const char *const kStrs[] = {"'str1_17'", "'sparse_val_3'",
+                                            "'nope'", "''", "'it''s'"};
+        switch (rng.below(11)) {
+          case 0:
+            return {"SELECT", "str1", ",", "num", "FROM", "nobench_main"};
+          case 1:
+            return {"SELECT", "nested_obj.str", ",", "nested_obj.num",
+                    "FROM", "nobench_main"};
+          case 2:
+          case 3:
+            return {"SELECT", sparse(), ",", sparse(), "FROM", "t"};
+          case 4:
+            return {"SELECT", "*", "FROM", "t", "WHERE", "str1", "=",
+                    pick(kStrs)};
+          case 5:
+          case 6:
+            return {"SELECT", "*", "FROM", "t", "WHERE",
+                    rng.chance(0.5) ? "num" : "dyn1", "BETWEEN", num(),
+                    "AND", num()};
+          case 7:
+            return {"SELECT", "*", "FROM", "t", "WHERE", "'arr_7'", "=",
+                    "ANY", "nested_arr"};
+          case 8:
+            if (rng.chance(0.5))
+                return {"SELECT", "*", "FROM", "t", "WHERE", sparse(),
+                        "=", pick(kStrs)};
+            return {"SELECT", "*", "FROM", "t", "WHERE", sparse(), "IS",
+                    rng.chance(0.5) ? "NOT" : "", "NULL"};
+          case 9:
+            return {"SELECT", "COUNT", "(", "*", ")", "FROM", "t",
+                    "WHERE", "num", "BETWEEN", num(), "AND", num(),
+                    "GROUP", "BY", "thousandth"};
+          default:
+            return {"SELECT", "*", "FROM", "t", "AS", "l", "INNER",
+                    "JOIN", "t", "AS", "r", "ON", "l.nested_obj.str",
+                    "=", "r.str1", "WHERE", "l.num", "BETWEEN", num(),
+                    "AND", num()};
+        }
+    }
+
+    std::vector<std::string>
+    statement()
+    {
+        switch (rng.below(8)) {
+          case 0:
+            return {"LOAD", "DATA", "LOCAL", "INFILE", "'new.json'",
+                    "REPLACE", "INTO", "TABLE", "t"};
+          case 1:
+            return {"INSERT", "INTO", "nobench", "VALUES", "(",
+                    "'{\"num\": " + num() + ", \"str1\": \"x\"}'", ")",
+                    ",", "(", "'{}'", ")"};
+          case 2:
+            return {"CHECKPOINT"};
+          case 3: {
+            std::vector<std::string> t{"EXPLAIN"};
+            if (rng.chance(0.5))
+                t.push_back("ANALYZE");
+            for (std::string &tok : query())
+                t.push_back(std::move(tok));
+            return t;
+          }
+          default: {
+            std::vector<std::string> t = query();
+            if (rng.chance(0.2))
+                t.push_back(";");
+            return t;
+          }
+        }
+    }
+
+    /** A grammar token, an edge literal, or a stray character. */
+    std::string
+    token()
+    {
+        static const char *const kTokens[] = {
+            "SELECT", "FROM", "WHERE", "BETWEEN", "AND", "ANY", "IS",
+            "NOT", "NULL", "COUNT", "GROUP", "BY", "AS", "INNER", "JOIN",
+            "ON", "LOAD", "DATA", "LOCAL", "INFILE", "REPLACE", "INTO",
+            "TABLE", "INSERT", "VALUES", "EXPLAIN", "ANALYZE",
+            "CHECKPOINT", "TRUE", "FALSE", "(", ")", ",", "*", "=", ";",
+            ".", "[", "]", "-", "'", "\"", "''", "'{'", "@", ">", "<",
+            "<>", "str1", "nested_arr[3]", "nested_arr[99999999999]",
+            "l.num", "r.str1", "ghost", "thousandth",
+            "9223372036854775807", "-9223372036854775808",
+            "99999999999999999999", "0x10", "1e5", "'\\'"};
+        return pick(kTokens);
+    }
+
+    /** One to three token edits, then maybe one to two byte edits. */
+    std::string
+    mutate(std::vector<std::string> t)
+    {
+        for (size_t m = 1 + rng.below(3); m > 0; --m) {
+            size_t at = rng.below(t.size() + 1);
+            switch (rng.below(5)) {
+              case 0:
+                if (at < t.size())
+                    t.erase(t.begin() + static_cast<ptrdiff_t>(at));
+                break;
+              case 1:
+                t.insert(t.begin() + static_cast<ptrdiff_t>(at),
+                         token());
+                break;
+              case 2:
+                if (at < t.size())
+                    t[at] = token();
+                break;
+              case 3:
+                if (at + 1 < t.size())
+                    std::swap(t[at], t[at + 1]);
+                break;
+              default:
+                t.resize(at); // truncate mid-statement
+                break;
+            }
+        }
+        std::string s;
+        for (const std::string &tok : t)
+            s += (s.empty() ? "" : " ") + tok;
+        for (size_t m = rng.chance(0.5) ? 1 + rng.below(2) : 0; m > 0;
+             --m) {
+            size_t at = rng.below(s.size() + 1);
+            switch (rng.below(4)) {
+              case 0:
+                if (at < s.size())
+                    s[at] = static_cast<char>(rng.below(256));
+                break;
+              case 1:
+                s.insert(at, 1, "'\"\\[].-\0\xff"[rng.below(10)]);
+                break;
+              case 2:
+                if (at < s.size())
+                    s.erase(at, 1 + rng.below(4));
+                break;
+              default:
+                s.resize(at);
+                break;
+            }
+        }
+        return s;
+    }
+};
+
+class SqlFuzz : public SqlWorld
+{
+};
+
+TEST_F(SqlFuzz, MutatedStatementsParseOrFailTyped)
+{
+    adaptive::Params prm;
+    prm.background = false;
+    prm.adapt = false;
+    adaptive::AdaptiveEngine eng(*data, {}, prm);
+    SqlFuzzer fz(2024);
+    size_t accepted = 0, rejected = 0;
+    for (int i = 0; i < 6000; ++i) {
+        std::vector<std::string> valid = fz.statement();
+        std::string text;
+        for (const std::string &tok : valid)
+            text += (text.empty() ? "" : " ") + tok;
+        ASSERT_TRUE(parse(text, *data).ok) << text;
+
+        // An exact-size heap copy: reading past it trips ASan.
+        const std::string in = fz.mutate(std::move(valid));
+        const std::string exact(in.data(), in.size());
+        ParseResult p = parse(exact, *data);
+        // LOAD and INSERT are refused after the parse, so a fuzzed
+        // statement never grows the shared data set.
+        RunResult r = runStatement(eng, exact, /*load=*/nullptr,
+                                   /*allowInsert=*/false);
+        if (!p.ok) {
+            ++rejected;
+            ASSERT_FALSE(r.ok) << exact;
+            ASSERT_EQ(r.errorKind, RunResult::Error::Parse) << exact;
+            ASSERT_EQ(r.error, p.error) << exact;
+            ASSERT_FALSE(r.error.empty()) << exact;
+            continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(r.ok || r.errorKind != RunResult::Error::Parse)
+            << exact << ": " << r.error;
+    }
+    // Both halves of the property must be exercised.
+    EXPECT_GT(accepted, 200u);
+    EXPECT_GT(rejected, 2000u);
+}
+
+TEST_F(SqlFuzz, LexerSurvivesRandomBytes)
+{
+    SqlFuzzer fz(77);
+    for (int i = 0; i < 5000; ++i) {
+        std::string s(fz.rng.below(64), ' ');
+        for (char &c : s)
+            c = static_cast<char>(fz.rng.below(256));
+        const std::string exact(s.data(), s.size());
+        LexResult lr = lex(exact);
+        ASSERT_TRUE(lr.ok || !lr.error.empty());
+        ParseResult p = parse(exact, *data);
+        ASSERT_TRUE(p.ok || !p.error.empty());
+    }
 }
 
 } // namespace
