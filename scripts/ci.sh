@@ -69,6 +69,16 @@ assert {"rows_per_sec_baseline", "rows_per_sec_scalar",
 print(f"scan kernels smoke: {len(rows)} NDJSON rows ok")
 EOF
 
+echo "=== parallel scaling ==="
+# Q1-Q11 on the DVP layout at 1, 2, 4 and 8 lanes.  The bench aborts
+# on any parallel-vs-serial digest mismatch, so the morsel-parallel
+# scans, the retrieval chunks and the join probe are checked at data
+# scale on every run, not only in the tests.
+./build-ci/bench/bench_parallel_scaling --docs 4000 --repeats 1 \
+    > /dev/null 2> "$OBS_TMP/scaling.err"
+grep -q "all thread counts reproduced the serial digests" \
+    "$OBS_TMP/scaling.err"
+
 echo "=== tape parse ==="
 # The tape-vs-DOM suite registers twice in ctest (default dispatch and
 # DVP_FORCE_SCALAR=1); run both registrations explicitly, then smoke

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <iterator>
 #include <type_traits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/kernels.hh"
@@ -61,6 +61,84 @@ class PhaseTimer
 };
 
 /**
+ * Fewest matches one retrieval chunk may hold (DESIGN.md §9).  Each
+ * chunk walks every partition once, so a chunk must carry enough
+ * matches to amortize that walk and its lane's dispatch; below this,
+ * splitting a match list across lanes measured slower than one walk.
+ */
+constexpr size_t kMinRetrieveChunk = 128;
+
+/**
+ * The self-join's build side, flat: (key, oid) entries sorted by key
+ * then oid, plus an open-addressing index from each distinct key to its
+ * run of entries.  Built once on the caller and read-only afterwards,
+ * so probe lanes share it without locks.
+ */
+class JoinTable
+{
+  public:
+    explicit JoinTable(std::vector<std::pair<Slot, int64_t>> entries)
+    {
+        std::sort(entries.begin(), entries.end());
+        oids_.reserve(entries.size());
+        for (size_t i = 0; i < entries.size(); ++i) {
+            if (i == 0 || entries[i].first != entries[i - 1].first)
+                runs_.push_back({entries[i].first, i, i});
+            runs_.back().end = i + 1;
+            oids_.push_back(entries[i].second);
+        }
+        unsigned bits = 1;
+        while ((size_t{1} << bits) < 2 * runs_.size())
+            ++bits;
+        shift_ = 64 - bits;
+        index_.assign(size_t{1} << bits, 0);
+        for (size_t r = 0; r < runs_.size(); ++r) {
+            size_t h = home(runs_[r].key);
+            while (index_[h] != 0)
+                h = (h + 1) & (index_.size() - 1);
+            index_[h] = static_cast<uint32_t>(r + 1);
+        }
+    }
+
+    bool empty() const { return oids_.empty(); }
+
+    /** Build oids whose key is @p key, in increasing oid order. */
+    std::pair<const int64_t *, const int64_t *>
+    find(Slot key) const
+    {
+        for (size_t h = home(key); index_[h] != 0;
+             h = (h + 1) & (index_.size() - 1)) {
+            const Run &run = runs_[index_[h] - 1];
+            if (run.key == key)
+                return {oids_.data() + run.begin, oids_.data() + run.end};
+        }
+        return {nullptr, nullptr};
+    }
+
+  private:
+    struct Run
+    {
+        Slot key;
+        size_t begin, end; ///< entry range in oids_
+    };
+
+    size_t
+    home(Slot key) const
+    {
+        return static_cast<size_t>(
+            (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >>
+            shift_);
+    }
+
+    std::vector<int64_t> oids_;   ///< entry oids, (key, oid) order
+    std::vector<Run> runs_;       ///< one per distinct key
+    std::vector<uint32_t> index_; ///< run id + 1 per slot; 0 = empty
+    unsigned shift_ = 63;
+};
+
+using OidPairs = std::vector<std::pair<int64_t, int64_t>>;
+
+/**
  * The plan-driven execution backend for one query.  All partition ids,
  * column offsets, and the driving table come pre-resolved from the
  * PhysicalPlan; only literals (Condition::lo/hi) and insert payloads
@@ -102,11 +180,15 @@ class Exec
     // public methods below never run on a forked lane — lanes execute
     // range kernels directly), so each phase counts caller wall time
     // including its scatter/merge.  join() calls matches() for its
-    // build side, so obs_filter_ns is included in obs_join_ns there.
+    // build side, so obs_filter_ns is included in obs_join_build_ns
+    // there; obs_join_ns spans the three join stages.
     uint64_t obs_project_ns = 0;
     uint64_t obs_filter_ns = 0;
     uint64_t obs_retrieve_ns = 0;
     uint64_t obs_join_ns = 0;
+    uint64_t obs_join_build_ns = 0;
+    uint64_t obs_join_probe_ns = 0;
+    uint64_t obs_join_materialize_ns = 0;
 
     ResultSet
     project(const Query &)
@@ -136,45 +218,31 @@ class Exec
     }
 
     /**
-     * Retrieve all matches, morselized over the match list.  Every
-     * match yields exactly one row, so the result buffer is sized up
-     * front and each morsel fills its own rows in place: one
-     * allocation, no lane-local copies to concatenate.  With a delta
-     * snapshot attached the (sorted) match list splits at the delta's
-     * first oid: the base prefix runs the partition cursors (possibly
-     * in parallel), the tail materializes serially from the row-major
-     * delta documents and appends — the same order a fold would have
-     * produced.
+     * Retrieve all matches.  Every match yields exactly one row, so the
+     * result buffer is sized up front and each chunk of the match list
+     * fills its own rows in place: one allocation, no lane-local copies
+     * to concatenate.  With a delta snapshot attached the (sorted)
+     * match list splits at the delta's first oid: the base prefix runs
+     * the partition walks (in even per-lane chunks when parallel), the
+     * tail materializes serially from the row-major delta documents
+     * and appends — the same order a fold would have produced.
      */
     ResultSet
     retrieve(const Query &, const std::vector<int64_t> &matches)
     {
         PhaseTimer phase(obs_retrieve_ns);
         DVP_TRACE_SPAN(retrieve_span, "retrieve", nullptr);
-        size_t nbase = matches.size();
-        if (deltaActive())
-            nbase = static_cast<size_t>(
-                std::lower_bound(matches.begin(), matches.end(),
-                                 deltaFirst()) -
-                matches.begin());
+        const size_t nbase = baseCount(matches);
         ResultSet rs(retrieveWidth());
         rs.reserveRows(matches.size());
         rs.oids.assign(matches.begin(), matches.begin() + nbase);
         Slot *out = rs.addRows(nbase);
         const size_t width = rs.width();
-        if (parallel() && nbase > morsel_rows) {
-            size_t nm = (nbase + morsel_rows - 1) / morsel_rows;
-            for (uint64_t sum : scatter<uint64_t>(
-                     nm, [&](Exec &lane, size_t i) {
-                         size_t m0 = i * lane.morsel_rows;
-                         size_t n = std::min(lane.morsel_rows, nbase - m0);
-                         return lane.retrieveRange(matches.data() + m0, n,
-                                                   out + m0 * width);
-                     }))
-                rs.checksum ^= sum;
-        } else {
-            rs.checksum = retrieveRange(matches.data(), nbase, out);
-        }
+        rs.checksum = chunked(nbase, [&](Exec &lane, size_t m0,
+                                         size_t m1) {
+            return lane.retrieveRange(matches.data() + m0, m1 - m0,
+                                      out + m0 * width);
+        });
         retrieveDelta(matches.data() + nbase, matches.size() - nbase,
                       rs);
         return rs;
@@ -357,6 +425,16 @@ class Exec
     }
 
   public:
+    /**
+     * Hash self-join in three timed stages.  Build: the left records
+     * passing the WHERE clause, keyed by the left join attribute, into
+     * a flat JoinTable.  Probe: a scan of the right join column,
+     * morselized by row range, then the delta tail (whose oids all
+     * sort after the scan's — fold order again); pairs come out in
+     * (probe row, build oid) order at every thread count.
+     * Materialize: both full records of every pair (the SELECT *
+     * retrieval that stresses the column layout's TLB, §VI-B).
+     */
     ResultSet
     join(const Query &q)
     {
@@ -364,118 +442,18 @@ class Exec
         invariant(q.joinLeftAttr != storage::kNoAttr &&
                       q.joinRightAttr != storage::kNoAttr,
                   "join query needs both ON columns");
-        const HashSelfJoinOp &jn = plan.join;
-
-        // Build side: left records passing the WHERE clause, keyed by
-        // the left join attribute.  (The WHERE scan morselizes; the
-        // build/probe/materialize phases stay on the caller's thread.)
-        // The sorted match list splits at the delta's first oid: base
-        // matches read the bound build column, delta matches read the
-        // document directly.
-        std::vector<int64_t> left = matches(q);
-        size_t nbase = left.size();
-        if (deltaActive())
-            nbase = static_cast<size_t>(
-                std::lower_bound(left.begin(), left.end(),
-                                 deltaFirst()) -
-                left.begin());
-        std::unordered_multimap<Slot, int64_t> build;
-        if (jn.buildTable >= 0) {
-            const Table &t = db.table(jn.buildTable);
-            Cursor cursor;
-            for (size_t i = 0; i < nbase; ++i) {
-                int64_t oid = left[i];
-                if (probe(t, cursor, oid) == storage::kNoRow)
-                    continue;
-                Slot key = readCell(t, cursor.pos,
-                                    static_cast<size_t>(jn.buildCol));
-                if (!isNull(key))
-                    build.emplace(key, oid);
-            }
-        }
-        for (size_t i = nbase; i < left.size(); ++i) {
-            const storage::Document &doc =
-                deltaDoc(static_cast<size_t>(left[i] - deltaFirst()));
-            Slot key = doc.slotOf(q.joinLeftAttr);
-            if (!isNull(key))
-                build.emplace(key, left[i]);
-        }
-
+        JoinTable build = buildSide(q);
         ResultSet rs(2);
         if (build.empty())
             return rs;
-
-        // Probe side: scan the right join column, then the delta tail
-        // (whose oids all sort after the scan's — fold order again).
-        std::vector<std::pair<int64_t, int64_t>> pairs;
-        if (jn.probeTable >= 0) {
-            const Table &rt = db.table(jn.probeTable);
-            countRows(rt.rows());
-            DVP_TRACE_SPAN(probe_span, "scan", "join probe");
-            for (size_t r = 0; r < rt.rows(); ++r) {
-                Slot key = readCell(rt, r,
-                                    static_cast<size_t>(jn.probeCol));
-                if (isNull(key))
-                    continue;
-                auto [lo, hi] = build.equal_range(key);
-                if (lo == hi)
-                    continue;
-                int64_t roid = readOid(rt, r);
-                for (auto it = lo; it != hi; ++it)
-                    pairs.emplace_back(it->second, roid);
-            }
-        }
-        if (deltaActive()) {
-            DVP_TRACE_SPAN(dprobe_span, "scan", "delta join probe");
-            for (size_t i = 0; i < delta_rows; ++i) {
-                const storage::Document &doc = deltaDoc(i);
-                countRows(1);
-                countDelta();
-                Slot key = doc.slotOf(q.joinRightAttr);
-                if (isNull(key))
-                    continue;
-                auto [lo, hi] = build.equal_range(key);
-                for (auto it = lo; it != hi; ++it)
-                    pairs.emplace_back(it->second, doc.oid);
-            }
-        }
-
-        // SELECT *: materialize both full records for every pair (this
-        // retrieval is what stresses the column layout's TLB, §VI-B).
+        OidPairs pairs = probeSide(q, build);
+        PhaseTimer materialize_phase(obs_join_materialize_ns);
         DVP_TRACE_SPAN(retrieve_span, "retrieve", "join materialize");
+        rs.checksum = materializePairs(pairs);
+        Slot *out = rs.addRows(pairs.size());
         for (auto [loid, roid] : pairs) {
-            for (int64_t oid : {loid, roid}) {
-                if (deltaActive() && oid >= deltaFirst()) {
-                    const storage::Document &doc = deltaDoc(
-                        static_cast<size_t>(oid - deltaFirst()));
-                    countTouch();
-                    for (const auto &[a, s] : doc.attrs)
-                        if (!isNull(s))
-                            rs.checksum ^= cellDigest(a, s);
-                    continue;
-                }
-                for (size_t ti = 0; ti < db.tableCount(); ++ti) {
-                    const Table &t = db.table(ti);
-                    size_t pos = t.lowerBound(oid);
-                    storage::RowIdx row = storage::kNoRow;
-                    if (pos < t.rows()) {
-                        // Deciding membership touches the oid slot.
-                        if (readOid(t, pos) == oid)
-                            row = static_cast<storage::RowIdx>(pos);
-                    }
-                    if (row == storage::kNoRow)
-                        continue;
-                    countTouch();
-                    const Slot *rec =
-                        readRecord(t, static_cast<size_t>(row));
-                    const auto &schema = t.schema();
-                    for (size_t c = 0; c < schema.size(); ++c)
-                        if (!isNull(rec[1 + c]))
-                            rs.checksum ^=
-                                cellDigest(schema[c], rec[1 + c]);
-                }
-            }
-            rs.addRow({loid, roid});
+            *out++ = loid;
+            *out++ = roid;
         }
         return rs;
     }
@@ -616,17 +594,10 @@ class Exec
     columnMatches(const FilterScanOp &f, const Condition &c)
     {
         const Table &t = db.table(f.table);
-        if (parallel() && t.rows() > morsel_rows) {
-            size_t nm = (t.rows() + morsel_rows - 1) / morsel_rows;
-            return flatten(scatter<std::vector<int64_t>>(
-                nm, [&](Exec &lane, size_t i) {
-                    size_t r0 = i * lane.morsel_rows;
-                    size_t r1 = std::min(r0 + lane.morsel_rows,
-                                         t.rows());
-                    return lane.condRange(t, f.col, c, r0, r1);
-                }));
-        }
-        return condRange(t, f.col, c, 0, t.rows());
+        return rowMorsels<int64_t>(
+            t.rows(), [&](Exec &lane, size_t r0, size_t r1) {
+                return lane.condRange(t, f.col, c, r0, r1);
+            });
     }
 
     /** Resolve a plan's table indices against this Database snapshot. */
@@ -788,7 +759,7 @@ class Exec
     };
 
     /**
-     * Position @p c at @p target in @p t.
+     * Position @p c at @p target in @p t (targets must not decrease).
      * @return the row index, or kNoRow when the object is absent.
      */
     storage::RowIdx
@@ -803,21 +774,38 @@ class Exec
         }
         if (c.oid > target)
             return storage::kNoRow; // cursor already past: free check
-        if (c.oid == target) {
-            countTouch();
+        if (c.oid == target)
             return static_cast<storage::RowIdx>(c.pos);
-        }
         c.pos = seekFrom(t, c.pos, target);
         if (c.pos >= t.rows()) {
             c.oid = INT64_MAX;
             return storage::kNoRow;
         }
         c.oid = readOid(t, c.pos);
-        if (c.oid == target) {
-            countTouch();
+        if (c.oid == target)
             return static_cast<storage::RowIdx>(c.pos);
-        }
         return storage::kNoRow;
+    }
+
+    /**
+     * Walk @p t's sorted oid column once against the @p count sorted
+     * oids at @p oids, with one forward cursor: hit(i, row) runs for
+     * every oids[i] stored in @p t, in order.  Retrieval, the join's
+     * build lookup and its materialize all read records this way,
+     * partition-major, so one walk keeps one cursor and one oid column
+     * hot.
+     */
+    template <class Hit>
+    void
+    walkPartition(const Table &t, const int64_t *oids, size_t count,
+                  Hit hit)
+    {
+        Cursor cur;
+        for (size_t i = 0; i < count && cur.oid != INT64_MAX; ++i) {
+            storage::RowIdx row = probe(t, cur, oids[i]);
+            if (row != storage::kNoRow)
+                hit(i, static_cast<size_t>(row));
+        }
     }
 
     // -----------------------------------------------------------------
@@ -947,19 +935,78 @@ class Exec
         return parts;
     }
 
-    /** Flatten per-morsel match vectors (each sorted; ranges ordered). */
-    static std::vector<int64_t>
-    flatten(std::vector<std::vector<int64_t>> parts)
+    /** Concatenate per-morsel vectors in morsel order. */
+    template <class T>
+    static std::vector<T>
+    flatten(std::vector<std::vector<T>> parts)
     {
-        DVP_TRACE_SPAN(merge_span, "merge", "flatten matches");
+        DVP_TRACE_SPAN(merge_span, "merge", "flatten partials");
         size_t total = 0;
         for (const auto &p : parts)
             total += p.size();
-        std::vector<int64_t> out;
+        std::vector<T> out;
         out.reserve(total);
         for (const auto &p : parts)
             out.insert(out.end(), p.begin(), p.end());
         return out;
+    }
+
+    /**
+     * kernel(lane, r0, r1) over row morsels of [0, @p rows) (one range
+     * inline when serial or small), partials concatenated in morsel
+     * order: exactly the serial output.
+     */
+    template <class T, class Kernel>
+    std::vector<T>
+    rowMorsels(size_t rows, Kernel kernel)
+    {
+        if (!parallel() || rows <= morsel_rows)
+            return kernel(*this, 0, rows);
+        size_t nm = (rows + morsel_rows - 1) / morsel_rows;
+        return flatten(scatter<std::vector<T>>(
+            nm, [&](Exec &lane, size_t i) {
+                size_t r0 = i * morsel_rows;
+                return kernel(lane, r0, std::min(r0 + morsel_rows, rows));
+            }));
+    }
+
+    /**
+     * kernel(lane, i0, i1) -> checksum over [0, @p n), split into even
+     * per-lane chunks of at least kMinRetrieveChunk items (or
+     * morsel_rows, when smaller, so tiny test morsels still split);
+     * checksums XOR-merge.  One chunk runs inline on this Exec.
+     */
+    template <class Kernel>
+    uint64_t
+    chunked(size_t n, Kernel kernel)
+    {
+        size_t k = 1;
+        if (parallel()) {
+            size_t lanes =
+                std::min(threads, ThreadPool::shared().laneCount());
+            k = std::clamp(n / std::min(kMinRetrieveChunk, morsel_rows),
+                           size_t{1}, lanes);
+        }
+        if (k == 1)
+            return kernel(*this, 0, n);
+        uint64_t sum = 0;
+        for (uint64_t part : scatter<uint64_t>(
+                 k, [&](Exec &lane, size_t i) {
+                     return kernel(lane, n * i / k, n * (i + 1) / k);
+                 }))
+            sum ^= part;
+        return sum;
+    }
+
+    /** Oids of @p oids (sorted) below the delta: the base prefix. */
+    size_t
+    baseCount(const std::vector<int64_t> &oids) const
+    {
+        if (!deltaActive())
+            return oids.size();
+        return static_cast<size_t>(
+            std::lower_bound(oids.begin(), oids.end(), deltaFirst()) -
+            oids.begin());
     }
 
     /**
@@ -1243,8 +1290,11 @@ class Exec
     /**
      * Retrieve rows for @p count already-matched oids at @p matches
      * into the all-NULL rows at @p out (retrieveWidth() cells each);
-     * returns the checksum of the cells read.  Matches must be in
-     * increasing oid order; per-table cursors then seek forward only.
+     * returns the checksum of the cells read.  Partition-major: each
+     * partition (SELECT *) or bound group (explicit list) walks the
+     * sorted matches once and writes its cells into their rows.  Every
+     * output cell comes from exactly one partition and the checksum is
+     * an XOR, so the loop order leaves the result bit-identical.
      */
     uint64_t
     retrieveRange(const int64_t *matches, size_t count, Slot *out)
@@ -1254,60 +1304,204 @@ class Exec
         uint64_t checksum = 0;
 
         if (op.selectAll) {
-            // Probes every partition; the row width is the bind-time
+            // Reads every partition; the row width is the bind-time
             // catalog width (part of the plan, so lanes never race a
             // concurrent ingest growing the live catalog), or 1 for
             // an aggregate's selection.  Cells the row does not keep
             // still feed the checksum, so digests are width-independent.
-            std::vector<Cursor> cursor(db.tableCount());
-            for (size_t m = 0; m < count; ++m) {
-                int64_t oid = matches[m];
-                Slot *row = out + m * width;
-                for (size_t ti = 0; ti < db.tableCount(); ++ti) {
-                    const Table &t = db.table(ti);
-                    if (probe(t, cursor[ti], oid) == storage::kNoRow)
-                        continue;
-                    const Slot *rec = readRecord(t, cursor[ti].pos);
-                    const auto &schema = t.schema();
-                    for (size_t ccol = 0; ccol < schema.size(); ++ccol) {
-                        Slot s = rec[1 + ccol];
-                        size_t out_col = selectAllColumn(schema[ccol], width);
-                        if (out_col != SIZE_MAX)
-                            row[out_col] = s;
+            std::vector<size_t> out_col;
+            for (size_t ti = 0; ti < db.tableCount(); ++ti) {
+                const Table &t = db.table(ti);
+                const auto &schema = t.schema();
+                out_col.resize(schema.size());
+                for (size_t c = 0; c < schema.size(); ++c)
+                    out_col[c] = selectAllColumn(schema[c], width);
+                walkPartition(t, matches, count,
+                              [&](size_t m, size_t row) {
+                    countTouch();
+                    const Slot *rec = readRecord(t, row);
+                    Slot *dst = out + m * width;
+                    for (size_t c = 0; c < schema.size(); ++c) {
+                        Slot s = rec[1 + c];
+                        if (out_col[c] != SIZE_MAX)
+                            dst[out_col[c]] = s;
                         if (!isNull(s))
-                            checksum ^= cellDigest(schema[ccol], s);
+                            checksum ^= cellDigest(schema[c], s);
                     }
-                }
+                });
             }
             return checksum;
         }
 
-        // Explicit projection list: the bound groups, one cursor each.
-        struct Group
-        {
-            const Table *table;
-            const std::vector<IndexRetrieveOp::Col> *cols;
-            Cursor cursor;
-        };
-        std::vector<Group> groups;
-        groups.reserve(op.groups.size());
-        for (const auto &g : op.groups)
-            groups.push_back(Group{&db.table(g.table), &g.cols, {}});
-
-        for (size_t m = 0; m < count; ++m) {
-            int64_t oid = matches[m];
-            Slot *row = out + m * width;
-            for (auto &g : groups) {
-                if (probe(*g.table, g.cursor, oid) == storage::kNoRow)
-                    continue;
-                for (const auto &pc : *g.cols) {
-                    Slot s = readCell(*g.table, g.cursor.pos,
-                                      static_cast<size_t>(pc.col));
-                    row[pc.out] = s;
+        // Explicit projection list: one walk per bound group.
+        for (const auto &g : op.groups) {
+            const Table &t = db.table(g.table);
+            walkPartition(t, matches, count, [&](size_t m, size_t row) {
+                countTouch();
+                Slot *dst = out + m * width;
+                for (const auto &pc : g.cols) {
+                    Slot s = readCell(t, row, static_cast<size_t>(pc.col));
+                    dst[pc.out] = s;
                     if (!isNull(s))
                         checksum ^= cellDigest(pc.attr, s);
                 }
+            });
+        }
+        return checksum;
+    }
+
+    /** Join build stage: WHERE matches keyed by the left join column. */
+    JoinTable
+    buildSide(const Query &q)
+    {
+        PhaseTimer phase(obs_join_build_ns);
+        const HashSelfJoinOp &jn = plan.join;
+        // The sorted match list splits at the delta's first oid: base
+        // matches read the bound build column, delta matches read the
+        // document directly.
+        std::vector<int64_t> left = matches(q);
+        const size_t nbase = baseCount(left);
+        std::vector<std::pair<Slot, int64_t>> entries;
+        if (jn.buildTable >= 0) {
+            const Table &t = db.table(jn.buildTable);
+            const size_t col = static_cast<size_t>(jn.buildCol);
+            walkPartition(t, left.data(), nbase, [&](size_t i, size_t row) {
+                countTouch();
+                Slot key = readCell(t, row, col);
+                if (!isNull(key))
+                    entries.emplace_back(key, left[i]);
+            });
+        }
+        for (size_t i = nbase; i < left.size(); ++i) {
+            Slot key = deltaDoc(static_cast<size_t>(left[i] - deltaFirst()))
+                           .slotOf(q.joinLeftAttr);
+            if (!isNull(key))
+                entries.emplace_back(key, left[i]);
+        }
+        return JoinTable(std::move(entries));
+    }
+
+    /** Join probe stage: (left oid, right oid) pairs in probe order. */
+    OidPairs
+    probeSide(const Query &q, const JoinTable &build)
+    {
+        PhaseTimer phase(obs_join_probe_ns);
+        const HashSelfJoinOp &jn = plan.join;
+        OidPairs pairs;
+        if (jn.probeTable >= 0) {
+            const Table &rt = db.table(jn.probeTable);
+            const size_t col = static_cast<size_t>(jn.probeCol);
+            countRows(rt.rows());
+            DVP_TRACE_SPAN(probe_span, "scan", "join probe");
+            pairs = rowMorsels<std::pair<int64_t, int64_t>>(
+                rt.rows(), [&](Exec &lane, size_t r0, size_t r1) {
+                    return lane.probeRange(rt, col, build, r0, r1);
+                });
+        }
+        if (deltaActive()) {
+            DVP_TRACE_SPAN(dprobe_span, "scan", "delta join probe");
+            for (size_t i = 0; i < delta_rows; ++i) {
+                const storage::Document &doc = deltaDoc(i);
+                countRows(1);
+                countDelta();
+                Slot key = doc.slotOf(q.joinRightAttr);
+                if (isNull(key))
+                    continue;
+                auto [lo, hi] = build.find(key);
+                for (const int64_t *it = lo; it != hi; ++it)
+                    pairs.emplace_back(*it, doc.oid);
             }
+        }
+        return pairs;
+    }
+
+    /** Probe kernel over rows [@p r0, @p r1) of the right join column. */
+    OidPairs
+    probeRange(const Table &rt, size_t col, const JoinTable &build,
+               size_t r0, size_t r1)
+    {
+        OidPairs pairs;
+        for (size_t r = r0; r < r1; ++r) {
+            Slot key = readCell(rt, r, col);
+            if (isNull(key))
+                continue;
+            auto [lo, hi] = build.find(key);
+            if (lo == hi)
+                continue;
+            int64_t roid = readOid(rt, r);
+            for (const int64_t *it = lo; it != hi; ++it)
+                pairs.emplace_back(*it, roid);
+        }
+        return pairs;
+    }
+
+    /**
+     * Join materialize stage: the checksum of both full records of
+     * every pair.  XOR cancels in pairs, so each distinct pair oid's
+     * record is digested once, and only when the oid occurs an odd
+     * number of times; partition touches still count every occurrence.
+     * Base oids walk the partitions (in per-lane chunks, like
+     * retrieval), delta oids read the row store.
+     */
+    uint64_t
+    materializePairs(const OidPairs &pairs)
+    {
+        std::vector<int64_t> occ;
+        occ.reserve(2 * pairs.size());
+        for (auto [loid, roid] : pairs) {
+            occ.push_back(loid);
+            occ.push_back(roid);
+        }
+        std::sort(occ.begin(), occ.end());
+        std::vector<int64_t> oids;
+        std::vector<uint64_t> mult;
+        for (int64_t oid : occ) {
+            if (oids.empty() || oids.back() != oid) {
+                oids.push_back(oid);
+                mult.push_back(0);
+            }
+            ++mult.back();
+        }
+        const size_t nbase = baseCount(oids);
+        uint64_t checksum = chunked(nbase, [&](Exec &lane, size_t i0,
+                                               size_t i1) {
+            return lane.materializeRange(oids.data() + i0,
+                                         mult.data() + i0, i1 - i0);
+        });
+        for (size_t i = nbase; i < oids.size(); ++i) {
+            obs_partition_touches += mult[i];
+            if (mult[i] % 2 == 0)
+                continue;
+            const storage::Document &doc =
+                deltaDoc(static_cast<size_t>(oids[i] - deltaFirst()));
+            for (const auto &[a, s] : doc.attrs)
+                if (!isNull(s))
+                    checksum ^= cellDigest(a, s);
+        }
+        return checksum;
+    }
+
+    /**
+     * Materialize kernel: @p count distinct sorted base oids occurring
+     * @p mult times each; returns the checksum of the odd ones.
+     */
+    uint64_t
+    materializeRange(const int64_t *oids, const uint64_t *mult,
+                     size_t count)
+    {
+        uint64_t checksum = 0;
+        for (size_t ti = 0; ti < db.tableCount(); ++ti) {
+            const Table &t = db.table(ti);
+            const auto &schema = t.schema();
+            walkPartition(t, oids, count, [&](size_t i, size_t row) {
+                obs_partition_touches += mult[i];
+                if (mult[i] % 2 == 0)
+                    return;
+                const Slot *rec = readRecord(t, row);
+                for (size_t c = 0; c < schema.size(); ++c)
+                    if (!isNull(rec[1 + c]))
+                        checksum ^= cellDigest(schema[c], rec[1 + c]);
+            });
         }
         return checksum;
     }
@@ -1374,6 +1568,15 @@ flushQueryMetrics(const Database &db, const Query &q, uint64_t ns,
     reg.counter("dvp_morsels_total").add(exec.obs_morsels);
     reg.counter("dvp_blocks_scanned_total").add(exec.obs_blocks_scanned);
     reg.counter("dvp_blocks_skipped_total").add(exec.obs_blocks_skipped);
+    if (q.kind == QueryKind::Join) {
+        DVP_HISTOGRAM_OBSERVE("dvp_join_stage_ns{stage=\"build\"}",
+                              exec.obs_join_build_ns);
+        DVP_HISTOGRAM_OBSERVE("dvp_join_stage_ns{stage=\"probe\"}",
+                              exec.obs_join_probe_ns);
+        DVP_HISTOGRAM_OBSERVE(
+            "dvp_join_stage_ns{stage=\"materialize\"}",
+            exec.obs_join_materialize_ns);
+    }
 }
 
 /** Copy one execution's merged lane counters into @p s. */
@@ -1395,6 +1598,9 @@ fillStats(QueryStats &s, const Exec<NullTracer> &exec,
     s.filterNs = exec.obs_filter_ns;
     s.retrieveNs = exec.obs_retrieve_ns;
     s.joinNs = exec.obs_join_ns;
+    s.joinBuildNs = exec.obs_join_build_ns;
+    s.joinProbeNs = exec.obs_join_probe_ns;
+    s.joinMaterializeNs = exec.obs_join_materialize_ns;
 }
 
 } // namespace

@@ -7,22 +7,26 @@
  *  - projections merge-scan the involved partition tables simultaneously
  *    by their sorted oid columns (no joins needed);
  *  - selections scan the condition column inside its owning partition
- *    and, for each match, retrieve the selected attributes from the
- *    other partitions through the sorted-oid primary-key index;
+ *    and retrieve the selected attributes through the sorted-oid
+ *    primary-key index, partition-major: each partition walks the
+ *    sorted match list once with one forward cursor;
  *  - rows whose projected attributes are all NULL are not emitted, so
  *    result sets are identical across layouts (sparse omission);
  *  - aggregation runs the selection part first, then folds groups;
- *  - the self-join hash-partitions matching left records and probes
- *    with a scan of the right join column.
+ *  - the self-join builds a flat hash table over the matching left
+ *    records, probes it with a scan of the right join column, and
+ *    materializes both records of every pair the same way retrieval
+ *    does.
  *
- * Morsel-driven parallelism: with threads > 1 the Project / Select /
- * Aggregate scan phases split into fixed-size oid-range morsels of the
- * driving table (the largest involved partition) and execute on the
- * shared work-stealing pool; each worker lane runs on a forked tracer
- * and produces an ordered partial ResultSet.  Partials concatenate in
- * morsel order (so rows come back in exactly the serial order) and the
- * XOR cell checksum merges order-independently, making results
- * bit-identical at every thread count.  The simulation overload stays
+ * Morsel-driven parallelism: with threads > 1 the scan phases split
+ * into fixed-size morsels (oid ranges of the driving table for merge
+ * scans, row ranges for column scans and the join probe), and record
+ * retrieval splits the match list into even per-lane chunks; all run
+ * on the shared work-stealing pool, each worker lane on a forked
+ * tracer.  Partials concatenate in morsel order (so rows come back in
+ * exactly the serial order) and the XOR cell checksum merges
+ * order-independently, making results bit-identical at every thread
+ * count.  The simulation overload stays
  * pinned to the serial path regardless of the thread knob: the paper's
  * cache/TLB figures (Figs. 6-7) model one core observing one exact
  * access sequence, which no parallel interleaving reproduces.

@@ -13,6 +13,9 @@ QueryStats::summary() const
         {"retrieve_ns", retrieveNs},
         {"project_ns", projectNs},
         {"join_ns", joinNs},
+        {"join_build_ns", joinBuildNs},
+        {"join_probe_ns", joinProbeNs},
+        {"join_materialize_ns", joinMaterializeNs},
         {"rows_scanned", rowsScanned},
         {"partition_touches", partitionTouches},
         {"blocks_scanned", blocksScanned},

@@ -52,7 +52,10 @@ struct QueryStats
     uint64_t filterNs = 0;   ///< WHERE scan (join build-side included)
     uint64_t retrieveNs = 0; ///< index retrieval of matches
     uint64_t projectNs = 0;  ///< merge-scan projection
-    uint64_t joinNs = 0;     ///< self-join build + probe + materialize
+    uint64_t joinNs = 0;     ///< self-join, all three stages
+    uint64_t joinBuildNs = 0;       ///< join build (WHERE scan included)
+    uint64_t joinProbeNs = 0;       ///< join probe of the right column
+    uint64_t joinMaterializeNs = 0; ///< join record materialization
     uint64_t morsels = 0;    ///< morsel kernels dispatched (0 = serial)
     size_t threads = 1;      ///< lane cap the query ran under
 

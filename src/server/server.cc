@@ -799,7 +799,8 @@ jsonEscape(const std::string &s)
 
 void
 Server::logSlowQuery(const Task &task, const sql::RunResult &r,
-                     uint64_t resultRows, uint64_t resultBytes)
+                     uint64_t execNs, uint64_t resultRows,
+                     uint64_t resultBytes)
 {
     std::string line = "{\"statement\":\"" + jsonEscape(task.sql) +
                        "\"";
@@ -808,8 +809,7 @@ Server::logSlowQuery(const Task &task, const sql::RunResult &r,
         std::snprintf(id, sizeof(id), "%016" PRIx64, task.traceId);
         line += std::string(",\"trace_id\":\"") + id + "\"";
     }
-    line += ",\"exec_ns\":" +
-            std::to_string(static_cast<uint64_t>(r.seconds * 1e9));
+    line += ",\"exec_ns\":" + std::to_string(execNs);
     line += ",\"layout_epoch\":" + std::to_string(r.stats.planEpoch);
     line += ",\"result_rows\":" + std::to_string(resultRows);
     line += ",\"result_bytes\":" + std::to_string(resultBytes);
@@ -905,6 +905,11 @@ void
 Server::executeTask(Task &task)
 {
     const uint64_t t_dequeued = nowNs();
+    engine::LoadOptions load;
+    load.threads = cfg.loadThreads == 0 ? 1 : cfg.loadThreads;
+    load.timeStages = true;
+
+    const uint64_t t_exec = nowNs();
     {
         std::function<void()> hook;
         {
@@ -914,12 +919,6 @@ Server::executeTask(Task &task)
         if (hook)
             hook();
     }
-
-    engine::LoadOptions load;
-    load.threads = cfg.loadThreads == 0 ? 1 : cfg.loadThreads;
-    load.timeStages = true;
-
-    const uint64_t t_exec = nowNs();
     sql::RunResult r;
     {
         // Client-propagated trace id, stamped into the span so a wire
@@ -1022,11 +1021,14 @@ Server::executeTask(Task &task)
                           t_send - t_encode);
     DVP_HISTOGRAM_OBSERVE("dvp_server_stage_ns{stage=\"send\"}",
                           t_done - t_send);
-    // --slow-ms 0 logs every executed statement.
+    // The gate is the execute stage's wall time (parse, lock waits and
+    // execution, every statement kind); --slow-ms 0 logs every
+    // executed statement.
     if (r.ok && !cfg.slowLogPath.empty() &&
-        r.seconds * 1000.0 >= static_cast<double>(cfg.slowMs)) {
+        t_encode - t_exec >= cfg.slowMs * 1000000ull) {
         DVP_COUNTER_INC("dvp_server_slow_queries_total");
-        logSlowQuery(task, r, result_rows, result_bytes);
+        logSlowQuery(task, r, t_encode - t_exec, result_rows,
+                     result_bytes);
     }
 
     // seq_cst, paired with the loop's draining_ store + inflight_

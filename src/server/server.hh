@@ -217,8 +217,9 @@ class Server
 
     /**
      * Test hook, called by a worker thread after dequeuing a statement
-     * and before executing it.  Lets tests hold statements in flight
-     * deterministically (backpressure and drain assertions).
+     * and before executing it, inside the statement's timed execute
+     * stage.  Lets tests hold statements in flight deterministically
+     * (backpressure, drain and slow-query-log assertions).
      */
     void setExecuteHook(std::function<void()> hook);
 
@@ -260,7 +261,8 @@ class Server
     void executeTask(Task &task);
     net::StatsBody buildStats();
     void logSlowQuery(const Task &task, const sql::RunResult &r,
-                      uint64_t resultRows, uint64_t resultBytes);
+                      uint64_t execNs, uint64_t resultRows,
+                      uint64_t resultBytes);
 
     adaptive::AdaptiveEngine *engine;
     Config cfg;

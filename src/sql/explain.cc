@@ -51,8 +51,12 @@ explainAnalyze(const engine::Database &db, const engine::Query &q,
         out += fmtLine("  filter", stats.filterNs, " ns");
     if (stats.retrieveNs != 0)
         out += fmtLine("  retrieve", stats.retrieveNs, " ns");
-    if (stats.joinNs != 0)
+    if (stats.joinNs != 0) {
         out += fmtLine("  join", stats.joinNs, " ns");
+        out += fmtLine("    build", stats.joinBuildNs, " ns");
+        out += fmtLine("    probe", stats.joinProbeNs, " ns");
+        out += fmtLine("    materialize", stats.joinMaterializeNs, " ns");
+    }
     out += fmtLine("rows scanned", stats.rowsScanned);
     out += fmtLine("partition touches", stats.partitionTouches);
     out += fmtLine("blocks scanned", stats.blocksScanned);

@@ -155,7 +155,9 @@ TEST_F(AnalyzeWorld, SummaryHasFixedKeyOrder)
         keys.push_back(k);
     EXPECT_EQ(keys, (std::vector<std::string>{
                         "exec_ns", "plan_ns", "filter_ns", "retrieve_ns",
-                        "project_ns", "join_ns", "rows_scanned",
+                        "project_ns", "join_ns", "join_build_ns",
+                        "join_probe_ns", "join_materialize_ns",
+                        "rows_scanned",
                         "partition_touches", "blocks_scanned",
                         "blocks_skipped", "matches", "rows_out",
                         "delta_rows", "compressed_rle", "compressed_pack",
@@ -233,6 +235,48 @@ TEST_F(AnalyzeWorld, CompressedDatabaseReportsCompressedEval)
     EXPECT_EQ(plain_total, 0u);
 }
 
+TEST_F(AnalyzeWorld, JoinStagesSplitJoinTime)
+{
+    // The self-join reports build, probe and materialize separately;
+    // the three nest inside join_ns (the build includes the WHERE
+    // scan) and each feeds its dvp_join_stage_ns histogram once.
+    auto &reg = obs::Registry::global();
+    auto &build = reg.histogram("dvp_join_stage_ns{stage=\"build\"}");
+    auto &probe = reg.histogram("dvp_join_stage_ns{stage=\"probe\"}");
+    auto &mat =
+        reg.histogram("dvp_join_stage_ns{stage=\"materialize\"}");
+    for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        Executor exec(*plain, threads);
+        exec.setMorselRows(256);
+        Query join = templates()[nobench::kQ11];
+        join.cond.lo = 0;
+        join.cond.hi = INT64_MAX; // every left record: pairs exist
+        const uint64_t b0 = build.count(), p0 = probe.count(),
+                       m0 = mat.count();
+        QueryStats s;
+        ResultSet rs = exec.run(join, &s);
+        ASSERT_GT(rs.rowCount(), 0u);
+        EXPECT_GT(s.joinBuildNs, 0u);
+        EXPECT_GT(s.joinProbeNs, 0u);
+        EXPECT_GT(s.joinMaterializeNs, 0u);
+        EXPECT_LE(s.joinBuildNs + s.joinProbeNs + s.joinMaterializeNs,
+                  s.joinNs);
+        EXPECT_LE(s.filterNs, s.joinBuildNs);
+        EXPECT_EQ(build.count() - b0, 1u);
+        EXPECT_EQ(probe.count() - p0, 1u);
+        EXPECT_EQ(mat.count() - m0, 1u);
+
+        // Other kinds leave the join stages at zero.
+        QueryStats sel;
+        exec.run(templates()[nobench::kQ10], &sel);
+        EXPECT_EQ(sel.joinNs + sel.joinBuildNs + sel.joinProbeNs +
+                      sel.joinMaterializeNs,
+                  0u);
+        EXPECT_EQ(build.count() - b0, 1u);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Plan provenance.
 // ---------------------------------------------------------------------
@@ -295,6 +339,17 @@ TEST(AnalyzeSql, ExplainAnalyzeRendersExecutionSection)
     // The ANALYZE run and the real run did the same work.
     EXPECT_EQ(an.stats.rowsScanned, sel.stats.rowsScanned);
     EXPECT_EQ(an.stats.rowsOut, sel.stats.rowsOut);
+
+    // A join's execution section splits into its three stages.
+    sql::RunResult jn = sql::runStatement(
+        eng, "EXPLAIN ANALYZE SELECT * FROM t AS l INNER JOIN t AS r "
+             "ON l.nested_obj.str = r.str1 WHERE l.num BETWEEN 0 AND "
+             "999999");
+    ASSERT_TRUE(jn.ok) << jn.error;
+    for (const char *stage : {"  join ", "    build ", "    probe ",
+                              "    materialize "})
+        EXPECT_NE(jn.message.find(stage), std::string::npos)
+            << stage << " in\n" << jn.message;
 }
 
 // ---------------------------------------------------------------------

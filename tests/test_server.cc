@@ -1804,55 +1804,6 @@ TEST_F(ServerWorld, WaitDrainedBlocksUntilTheDrainCompletes)
 // Slow-query log.
 // ---------------------------------------------------------------------
 
-TEST_F(ServerWorld, SlowQueryLogWritesNdjsonRecords)
-{
-    World w;
-    std::string path = "slow_query_test.ndjson";
-    std::remove(path.c_str());
-
-    server::Config scfg;
-    scfg.slowMs = 1;
-    scfg.slowLogPath = path;
-    server::Server srv(*w.engine, scfg);
-    ASSERT_EQ(srv.start(), "");
-
-    client::Client c;
-    c.setTraceId(0x5105105105105105ull);
-    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
-
-    // The self-join materializes one pair per document — heavy enough
-    // to cross a 1 ms threshold; retry a few times to be safe.
-    const std::string join =
-        "SELECT * FROM t AS l INNER JOIN t AS r "
-        "ON l.nested_obj.str = r.str1 "
-        "WHERE l.num BETWEEN 0 AND 999999";
-    std::string line;
-    for (int attempt = 0; attempt < 20 && line.empty(); ++attempt) {
-        ASSERT_TRUE(c.query(join).ok);
-        std::ifstream in(path);
-        std::getline(in, line);
-    }
-    c.close();
-    srv.stop();
-
-    ASSERT_FALSE(line.empty())
-        << "no slow-query record after 20 join executions";
-    // One NDJSON object per line with the documented fields.
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"statement\":\"SELECT * FROM t AS l"),
-              std::string::npos);
-    EXPECT_NE(line.find("\"trace_id\":\"5105105105105105\""),
-              std::string::npos);
-    EXPECT_NE(line.find("\"exec_ns\":"), std::string::npos);
-    EXPECT_NE(line.find("\"layout_epoch\":"), std::string::npos);
-    EXPECT_NE(line.find("\"stats\":{"), std::string::npos);
-    EXPECT_NE(line.find("\"rows_out\":"), std::string::npos);
-    EXPECT_NE(line.find("\"result_rows\":"), std::string::npos);
-    EXPECT_NE(line.find("\"result_bytes\":"), std::string::npos);
-    std::remove(path.c_str());
-}
-
 /** The unsigned value after "@p key": in an NDJSON line. */
 uint64_t
 jsonField(const std::string &line, const std::string &key)
@@ -1863,6 +1814,68 @@ jsonField(const std::string &line, const std::string &key)
         return 0;
     }
     return std::strtoull(line.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+TEST_F(ServerWorld, SlowQueryLogWritesNdjsonRecords)
+{
+    // A positive threshold crossed by construction, not by engine
+    // speed: the execute hook runs inside the execute stage the gate
+    // measures, so holding the join there past slowMs must log it,
+    // while an unheld cheap statement stays far under the threshold.
+    World w;
+    std::string path = "slow_query_test.ndjson";
+    std::remove(path.c_str());
+
+    server::Config scfg;
+    scfg.slowMs = 400;
+    scfg.slowLogPath = path;
+    server::Server srv(*w.engine, scfg);
+    std::atomic<bool> hold{false};
+    srv.setExecuteHook([&] {
+        if (hold.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(450));
+    });
+    ASSERT_EQ(srv.start(), "");
+
+    client::Client c;
+    c.setTraceId(0x5105105105105105ull);
+    ASSERT_EQ(c.connect("127.0.0.1", srv.port()), "");
+
+    const std::string join =
+        "SELECT * FROM t AS l INNER JOIN t AS r "
+        "ON l.nested_obj.str = r.str1 "
+        "WHERE l.num BETWEEN 0 AND 999999";
+    ASSERT_TRUE(c.query("SELECT str1 FROM t WHERE num BETWEEN 0 AND 9")
+                    .ok);
+    hold.store(true);
+    ASSERT_TRUE(c.query(join).ok);
+    hold.store(false);
+    c.close();
+    srv.stop();
+
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l);
+    ASSERT_EQ(lines.size(), 1u) << "only the held join crosses 400 ms";
+    const std::string &line = lines[0];
+    // One NDJSON object per line with the documented fields.
+    EXPECT_EQ(line.front(), '{');
+    EXPECT_EQ(line.back(), '}');
+    EXPECT_NE(line.find("\"statement\":\"SELECT * FROM t AS l"),
+              std::string::npos);
+    EXPECT_NE(line.find("\"trace_id\":\"5105105105105105\""),
+              std::string::npos);
+    EXPECT_NE(line.find("\"exec_ns\":"), std::string::npos);
+    EXPECT_GE(jsonField(line, "exec_ns"), 400000000u);
+    EXPECT_NE(line.find("\"layout_epoch\":"), std::string::npos);
+    EXPECT_NE(line.find("\"stats\":{"), std::string::npos);
+    EXPECT_NE(line.find("\"rows_out\":"), std::string::npos);
+    EXPECT_GT(jsonField(line, "rows_out"), 0u);
+    EXPECT_NE(line.find("\"join_materialize_ns\":"), std::string::npos);
+    EXPECT_NE(line.find("\"result_rows\":"), std::string::npos);
+    EXPECT_NE(line.find("\"result_bytes\":"), std::string::npos);
+    std::remove(path.c_str());
 }
 
 TEST_F(ServerWorld, SlowMsZeroLogsEveryStatementWithResultSizes)
